@@ -637,12 +637,15 @@ fn run_http_server(
         server.shutdown_handle().shutdown();
         server.join();
         println!("drained after {duration_secs}s");
+        Ok(())
     } else {
-        // Serve until the process is killed: join blocks while the accept
-        // loop runs.
-        server.join();
+        // Serve until the process is killed. `join` would drain at once,
+        // so park this thread with the server still running; `park` may
+        // return spuriously, hence the loop.
+        loop {
+            std::thread::park();
+        }
     }
-    Ok(())
 }
 
 /// `profile`: run instrumented forwards and print the per-stage table.

@@ -68,9 +68,10 @@ pub struct HttpConfig {
     /// Maximum requests served over one keep-alive connection before the
     /// server closes it (`Connection: close` on the last response).
     pub keep_alive_requests: usize,
-    /// Per-connection read deadline (`set_read_timeout`): an idle
-    /// keep-alive connection is closed quietly; a connection that stalls
-    /// mid-request gets `408 Request Timeout`.
+    /// Read deadline once a request has started: a connection that
+    /// stalls mid-request gets `408 Request Timeout`. The wait for a
+    /// request's first byte is shorter (1 s, or this if smaller), so a
+    /// silent keep-alive socket frees its handler quickly.
     pub read_timeout: Duration,
     /// Per-connection write deadline (`set_write_timeout`).
     pub write_timeout: Duration,

@@ -35,7 +35,12 @@ pub struct ServerMetrics {
     pub conn_shed: Arc<Counter>,
     /// Images served across all `200` responses.
     pub images: Arc<Counter>,
-    /// End-to-end request latency (queue wait + service) per `200`.
+    /// Handler threads that currently own a connection.
+    pub handlers_busy: Arc<Gauge>,
+    /// Connections accepted but not yet picked up by a handler.
+    pub conn_backlog: Arc<Gauge>,
+    /// Pool queue wait plus service time per `200`; excludes the socket
+    /// read, parse, hand-off and response write.
     request_seconds: Arc<Histogram>,
     queue_depth: Arc<Gauge>,
     queue_capacity: Arc<Gauge>,
@@ -63,9 +68,15 @@ impl ServerMetrics {
         );
         let images =
             registry.counter("ascend_images_total", "Images served across all 200 responses.");
+        let handlers_busy = registry
+            .gauge("ascend_http_handlers_busy", "Handler threads that currently own a connection.");
+        let conn_backlog = registry.gauge(
+            "ascend_http_conn_backlog",
+            "Connections accepted but not yet picked up by a handler.",
+        );
         let request_seconds = registry.histogram(
             "ascend_http_request_seconds",
-            "End-to-end request latency (queue wait + service) per 200.",
+            "Pool queue wait plus service time per 200 (no socket read, parse or write).",
         );
         let queue_depth =
             registry.gauge("ascend_queue_depth", "Admission queue depth at scrape time.");
@@ -82,6 +93,8 @@ impl ServerMetrics {
             connections,
             conn_shed,
             images,
+            handlers_busy,
+            conn_backlog,
             request_seconds,
             queue_depth,
             queue_capacity,
@@ -93,8 +106,9 @@ impl ServerMetrics {
     }
 
     /// Records one served request: its queue-wait/service split and image
-    /// count. The exported latency histogram observes the end-to-end total;
-    /// the split itself is exported by the pool's own histograms.
+    /// count. The exported latency histogram observes the pool's queue
+    /// wait plus service; the split itself is exported by the pool's own
+    /// histograms.
     pub fn record_served(&self, timing: JobTiming, images: usize) {
         self.ok.inc();
         self.images.add(images as u64);
@@ -111,7 +125,8 @@ impl ServerMetrics {
         counter.inc();
     }
 
-    /// Snapshot of the end-to-end request-latency histogram.
+    /// Snapshot of the request-latency histogram: pool queue wait plus
+    /// service per `200`, without the socket read, parse or write.
     pub fn latency_snapshot(&self) -> HistSnapshot {
         self.request_seconds.snapshot()
     }
@@ -176,6 +191,10 @@ mod tests {
         m.record_status(503);
         m.record_status(400);
         m.record_status(500);
+        m.handlers_busy.inc();
+        m.handlers_busy.inc();
+        m.conn_backlog.inc();
+        m.conn_backlog.dec();
         let text = m.render(3, 8, 1, 4);
         assert!(text.contains("ascend_http_responses_ok_total 2\n"), "{text}");
         assert!(text.contains("ascend_http_shed_total 1\n"), "{text}");
@@ -186,6 +205,9 @@ mod tests {
         assert!(text.contains("ascend_queue_capacity 8\n"), "{text}");
         assert!(text.contains("ascend_in_flight 1\n"), "{text}");
         assert!(text.contains("ascend_workers 4\n"), "{text}");
+        assert!(text.contains("# TYPE ascend_http_handlers_busy gauge\n"), "{text}");
+        assert!(text.contains("ascend_http_handlers_busy 2\n"), "{text}");
+        assert!(text.contains("ascend_http_conn_backlog 0\n"), "{text}");
         assert!(text.contains("# TYPE ascend_http_request_seconds histogram"), "{text}");
         assert!(text.contains("ascend_http_request_seconds_count 2\n"), "{text}");
         assert!(text.contains("ascend_throughput_images_per_second"), "{text}");
@@ -226,6 +248,17 @@ mod tests {
         }
         assert_eq!(m.latency_snapshot().count(), 10_000);
         assert!(m.render(0, 0, 0, 1).contains("ascend_http_responses_ok_total 10000\n"));
+    }
+
+    #[test]
+    fn request_histogram_help_names_what_it_observes() {
+        let text = ServerMetrics::new().render(0, 0, 0, 1);
+        let help = text
+            .lines()
+            .find(|l| l.starts_with("# HELP ascend_http_request_seconds "))
+            .expect("request histogram is rendered with a HELP line");
+        assert!(!help.contains("end-to-end"), "{help}");
+        assert!(help.contains("queue wait plus service"), "{help}");
     }
 
     #[test]

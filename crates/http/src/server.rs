@@ -1,23 +1,30 @@
 //! The listener, connection-thread pool, router, and graceful drain.
 //!
-//! Threading model: one accept thread polls a non-blocking listener and
-//! hands accepted sockets to a small bounded channel; `conn_workers`
-//! handler threads each own one connection at a time and run its
-//! keep-alive loop. Inference admission inside a handler is strictly
+//! Threading model: one accept thread blocks in `accept` and hands each
+//! new socket to a small bounded channel, so a connection reaches a
+//! handler as soon as one is free; `conn_workers` handler threads each
+//! own one connection at a time and run its keep-alive loop. A handler
+//! waits at most [`IDLE_TIMEOUT`] for the first byte of each request, so
+//! silent sockets cannot hold every handler for the whole read deadline.
+//! The `ascend_http_handlers_busy` and `ascend_http_conn_backlog` gauges
+//! show handler occupancy and the hand-off backlog live. Inference
+//! admission inside a handler is strictly
 //! non-blocking ([`ServePool::try_submit`]): a full work queue answers
 //! `503 Retry-After` immediately, so a traffic burst can never wedge the
 //! socket threads behind a blocking submit — the bugfix this crate is
 //! built around. When every handler is busy and the hand-off backlog is
 //! full, whole connections are shed with `503` the same way.
 //!
-//! Shutdown is graceful: [`ShutdownHandle::shutdown`] stops the accept
-//! loop, handler threads finish the request they are serving (responses
-//! for admitted work are always written), remaining backlogged
-//! connections get one final exchange with `Connection: close`, and
-//! [`HttpServer::join`] joins every thread.
+//! Shutdown is graceful: [`ShutdownHandle::shutdown`] sets the stop flag
+//! and wakes the blocked `accept` with a connection to the listener's
+//! own address; the accept thread drops that socket, exits and closes
+//! the listener. Handler threads finish the request they are serving
+//! (responses for admitted work are always written), remaining
+//! backlogged connections get one final exchange with
+//! `Connection: close`, and [`HttpServer::join`] joins every thread.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -34,21 +41,48 @@ use crate::http1::{self, Limits, ParseError, Request, Response};
 use crate::metrics::ServerMetrics;
 use crate::HttpConfig;
 
-/// How often the accept loop re-checks the stop flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Back-off after a failed `accept` (e.g. `EMFILE`), so a persistent
+/// error cannot spin a core. The only sleep on the accept path.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// How long a handler waits for the first byte of a request (capped at
+/// `read_timeout`) before closing the connection quietly.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Bound on one wake-up connect; drain retries a wake that fails.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// How long drain waits for the accept thread before waking it again.
+const WAKE_RETRY: Duration = Duration::from_millis(2);
 
 /// A clonable remote control for stopping the server from any thread.
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
     stop: Arc<AtomicBool>,
+    /// Where a self-connect reaches the listener (loopback when it is
+    /// bound to an unspecified address).
+    wake_addr: SocketAddr,
 }
 
 impl ShutdownHandle {
-    /// Requests shutdown: the listener stops accepting, in-flight
-    /// requests finish, and [`HttpServer::join`] returns once every
-    /// thread has exited. Idempotent.
+    /// Requests shutdown: sets the stop flag and makes one best-effort
+    /// connect to the listener to wake its blocked `accept`. The accept
+    /// thread then exits and closes the listener, so new connects are
+    /// refused even before [`HttpServer::join`]; in-flight requests
+    /// finish, and `join` returns once every thread has exited (it
+    /// repeats the wake, so a lost connect here cannot hang it).
+    /// Idempotent: only the first call connects.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            self.wake();
+        }
+    }
+
+    /// One self-connect to unblock the accept thread. A failed connect
+    /// means the listener is already closed or unreachable; drain
+    /// retries, so the error carries nothing.
+    fn wake(&self) {
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_CONNECT_TIMEOUT);
     }
 
     /// Whether shutdown has been requested.
@@ -67,7 +101,7 @@ enum ServeTarget {
 /// The running HTTP front-end; see the [module docs](self).
 pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
     metrics: Arc<ServerMetrics>,
     target: Arc<ServeTarget>,
     accept: Option<JoinHandle<()>>,
@@ -128,7 +162,6 @@ impl HttpServer {
         };
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| sock_err(&cfg.addr, e))?;
         let addr = listener.local_addr().map_err(|e| sock_err(&cfg.addr, e))?;
-        listener.set_nonblocking(true).map_err(|e| sock_err(&cfg.addr, e))?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(ServerMetrics::new());
@@ -162,10 +195,11 @@ impl HttpServer {
             let write_timeout = cfg.write_timeout;
             std::thread::Builder::new()
                 .name("ascend-http-accept".into())
-                .spawn(move || accept_loop(&listener, &conn_tx, &stop, &metrics, write_timeout))
+                .spawn(move || accept_loop(listener, &conn_tx, &stop, &metrics, write_timeout))
                 .map_err(|e| spawn_err("ascend-http-accept", e))?
         };
-        Ok(HttpServer { addr, stop, metrics, target, accept: Some(accept), workers })
+        let shutdown = ShutdownHandle { stop, wake_addr: wake_addr(addr) };
+        Ok(HttpServer { addr, shutdown, metrics, target, accept: Some(accept), workers })
     }
 
     /// The address the listener actually bound (resolves `:0`).
@@ -197,20 +231,28 @@ impl HttpServer {
 
     /// A clonable handle that can stop the server from any thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle { stop: Arc::clone(&self.stop) }
+        self.shutdown.clone()
     }
 
-    /// Graceful drain: stop accepting, let handlers finish their
-    /// in-flight work, and join every thread. Also triggered by `Drop`;
-    /// calling it explicitly just makes shutdown visible at the call
-    /// site.
+    /// Graceful drain: shut down (if not already), let handlers finish
+    /// their in-flight work, and join every thread. The accept thread is
+    /// woken again every few milliseconds until it has exited, so one
+    /// failed wake-up connect cannot hang the join. Also triggered by
+    /// `Drop`; calling it explicitly just makes shutdown visible at the
+    /// call site.
     pub fn join(mut self) {
         self.drain();
     }
 
     fn drain(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shutdown.shutdown();
         if let Some(accept) = self.accept.take() {
+            while !accept.is_finished() {
+                std::thread::sleep(WAKE_RETRY);
+                if !accept.is_finished() {
+                    self.shutdown.wake();
+                }
+            }
             let _ = accept.join();
         }
         for worker in self.workers.drain(..) {
@@ -225,32 +267,55 @@ impl Drop for HttpServer {
     }
 }
 
-/// Polls the non-blocking listener, handing sockets to the worker
-/// channel; a full channel means every handler is busy and the backlog
-/// is taken, so the connection is shed with a `503` instead of queueing
-/// without bound. Exits when the stop flag is set, dropping the sender
-/// so workers drain the backlog and exit too.
+/// The address a self-connect uses to reach a listener bound to `addr`:
+/// the loopback of the same family when `addr` is unspecified
+/// (`0.0.0.0` or `[::]`), which is not a connectable destination.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Blocks in `accept`, handing sockets to the worker channel; a full
+/// channel means every handler is busy and the backlog is taken, so the
+/// connection is shed with a `503` instead of queueing without bound.
+/// An accept that returns after the stop flag is set (the shutdown
+/// wake-up, or a late client) drops its socket and exits, which closes
+/// the listener and drops the sender so workers drain the backlog and
+/// exit too.
 fn accept_loop(
-    listener: &TcpListener,
+    listener: TcpListener,
     conn_tx: &SyncSender<TcpStream>,
     stop: &AtomicBool,
     metrics: &ServerMetrics,
     write_timeout: Duration,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => match conn_tx.try_send(stream) {
-                Ok(()) => {}
-                Err(TrySendError::Full(stream)) => {
-                    metrics.conn_shed.inc();
-                    shed_connection(stream, write_timeout);
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _peer)) => {
+                // Counted before the send, so the handler's decrement
+                // after its receive can never run first.
+                metrics.conn_backlog.inc();
+                match conn_tx.try_send(stream) {
+                    Ok(()) => {}
+                    Err(TrySendError::Full(stream)) => {
+                        metrics.conn_backlog.dec();
+                        metrics.conn_shed.inc();
+                        shed_connection(stream, write_timeout);
+                    }
+                    Err(TrySendError::Disconnected(_)) => return,
                 }
-                Err(TrySendError::Disconnected(_)) => break,
-            },
-            Err(e) if http1::is_timeout(&e) => std::thread::sleep(ACCEPT_POLL),
+            }
             // Transient accept failures (e.g. per-connection resource
-            // limits) must not kill the listener.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            // limits) must not kill the listener, nor spin on it.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -283,8 +348,11 @@ fn conn_worker(
                 Err(_) => break, // accept loop gone: shutdown
             }
         };
+        metrics.conn_backlog.dec();
         metrics.connections.inc();
+        metrics.handlers_busy.inc();
         handle_connection(stream, target, metrics, cfg, stop);
+        metrics.handlers_busy.dec();
     }
 }
 
@@ -296,9 +364,8 @@ fn handle_connection(
     cfg: &HttpConfig,
     stop: &AtomicBool,
 ) {
-    if stream.set_read_timeout(Some(cfg.read_timeout)).is_err()
-        || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
-    {
+    // The read deadline is armed per request by `await_request`.
+    if stream.set_write_timeout(Some(cfg.write_timeout)).is_err() {
         return;
     }
     let Ok(read_half) = stream.try_clone() else {
@@ -315,6 +382,10 @@ fn handle_connection(
         // During drain, finish what was started but take nothing new.
         if stop.load(Ordering::SeqCst) && served > 0 {
             break;
+        }
+        if let Err(e) = await_request(&mut reader, cfg) {
+            respond_parse_error(&mut stream, metrics, &e);
+            return;
         }
         let request = match http1::read_request(&mut reader, &limits) {
             Ok(request) => request,
@@ -337,6 +408,29 @@ fn handle_connection(
             return;
         }
     }
+}
+
+/// Waits at most [`IDLE_TIMEOUT`] (capped at `read_timeout`) for the first
+/// byte of the next request, then arms `read_timeout` as the deadline
+/// for the rest of it. Bytes already buffered (a pipelined request) need
+/// no wait. A peer that closes or stays silent is [`ParseError::Idle`]:
+/// a quiet close.
+fn await_request(reader: &mut BufReader<TcpStream>, cfg: &HttpConfig) -> Result<(), ParseError> {
+    if !reader.buffer().is_empty() {
+        return Ok(());
+    }
+    let idle = IDLE_TIMEOUT.min(cfg.read_timeout);
+    reader.get_ref().set_read_timeout(Some(idle)).map_err(ParseError::Io)?;
+    loop {
+        match reader.fill_buf() {
+            Ok([]) => return Err(ParseError::Idle),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if http1::is_timeout(&e) => return Err(ParseError::Idle),
+            Err(e) => return Err(ParseError::Io(e)),
+        }
+    }
+    reader.get_ref().set_read_timeout(Some(cfg.read_timeout)).map_err(ParseError::Io)
 }
 
 /// Answers a request-parse failure with the right status (or a quiet

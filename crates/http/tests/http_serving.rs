@@ -3,7 +3,10 @@
 //! capped, a full admission queue sheds with `503 Retry-After` instead of
 //! blocking, a dead pool answers `503` instead of hanging, graceful drain
 //! completes in-flight work, and `200` bodies are bit-identical to the
-//! in-process serial forward.
+//! in-process serial forward. The connection tier: idle sockets free
+//! their handler after the idle timeout, the busy/backlog gauges track
+//! handlers, and shutdown wakes the blocking accept and closes the
+//! listener on every address family.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -450,6 +453,155 @@ fn graceful_drain_completes_in_flight_work() {
 
     // And the listener is really gone.
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err());
+}
+
+/// The value of an unlabelled gauge or counter in a `/metrics` body.
+fn scraped(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` sample in:\n{text}"))
+}
+
+#[test]
+fn idle_keep_alive_sockets_do_not_starve_a_new_client() {
+    let cfg = HttpConfig::new("127.0.0.1:0");
+    let read_timeout = cfg.read_timeout;
+    let workers = cfg.conn_workers as u64;
+    let (server, _backend, _session) = gated_server(true, 4, cfg);
+    let addr = server.local_addr();
+
+    // One silent socket per handler, each picked up by a handler.
+    let idle: Vec<_> = (0..workers).map(|_| connect(addr)).collect();
+    wait_until("every handler holds an idle socket", Duration::from_secs(5), || {
+        server.metrics().handlers_busy.get() == workers
+    });
+
+    let started = Instant::now();
+    let (mut reader, mut writer) = connect(addr);
+    client::write_request(&mut writer, "GET", "/healthz", &[], true).expect("write");
+    let response = client::read_response(&mut reader).expect("healthz response");
+    assert_eq!(response.status, 200);
+    assert!(
+        started.elapsed() < read_timeout / 2,
+        "healthz behind idle sockets took {:?}",
+        started.elapsed()
+    );
+    // The idle sockets were closed quietly: EOF, never a 408.
+    for (mut reader, _writer) in idle {
+        assert!(client::read_response(&mut reader).is_err(), "idle close must send nothing");
+    }
+    server.join();
+}
+
+#[test]
+fn connection_tier_gauges_show_busy_handlers_and_backlog() {
+    let mut cfg = HttpConfig::new("127.0.0.1:0");
+    cfg.conn_workers = 2;
+    let (server, backend, session) = gated_server(false, 4, cfg);
+    let addr = server.local_addr();
+    let pool = session.runner().expect("pool");
+
+    // A: held mid-service by the closed gate.
+    let (mut reader_a, mut writer_a) = connect(addr);
+    client::write_request(&mut writer_a, "POST", "/v1/infer", &gated_payload(1.0), false)
+        .expect("write A");
+    wait_until("A in flight", Duration::from_secs(5), || pool.in_flight() == 1);
+
+    // B: a scrape, served by the second handler while A is held.
+    let (mut reader_b, mut writer_b) = connect(addr);
+    client::write_request(&mut writer_b, "GET", "/metrics", &[], false).expect("write B");
+    let text = String::from_utf8(client::read_response(&mut reader_b).expect("B").body)
+        .expect("utf-8");
+    assert!(scraped(&text, "ascend_http_handlers_busy") >= 2, "{text}");
+    assert_eq!(scraped(&text, "ascend_http_conn_backlog"), 0, "{text}");
+
+    // B again, on its keep-alive socket: a gated request that waits in
+    // the pool queue behind A, so both handlers stay busy until the gate
+    // opens and C has to wait in the hand-off backlog.
+    client::write_request(&mut writer_b, "POST", "/v1/infer", &gated_payload(2.0), false)
+        .expect("write B2");
+    wait_until("B2 queued behind A", Duration::from_secs(5), || pool.queued() == 1);
+    let (mut reader_c, mut writer_c) = connect(addr);
+    wait_until("C in the backlog", Duration::from_secs(5), || {
+        server.metrics().conn_backlog.get() == 1
+    });
+    assert_eq!(server.metrics().handlers_busy.get(), 2);
+
+    // Free both handlers; C is picked up and served.
+    backend.open();
+    assert_eq!(client::read_response(&mut reader_a).expect("A").status, 200);
+    assert_eq!(client::read_response(&mut reader_b).expect("B2").status, 200);
+    drop((reader_a, writer_a, reader_b, writer_b));
+    client::write_request(&mut writer_c, "GET", "/healthz", &[], true).expect("write C");
+    assert_eq!(client::read_response(&mut reader_c).expect("C").status, 200);
+    assert_eq!(server.metrics().conn_backlog.get(), 0);
+    server.join();
+}
+
+#[test]
+fn bind_rejects_configs_that_could_never_serve() {
+    let session = Arc::new(
+        Session::from_shared_backend(
+            Arc::new(GatedBackend::new(true)) as Arc<dyn InferenceBackend>,
+            ServeConfig { workers: 1, micro_batch: 1, queue_depth: 1 },
+        )
+        .expect("session builds"),
+    );
+    let rejects = |field: &str, tweak: fn(&mut HttpConfig)| {
+        let mut cfg = HttpConfig::new("127.0.0.1:0");
+        tweak(&mut cfg);
+        match HttpServer::bind(Arc::clone(&session), cfg) {
+            Err(ScError::InvalidParam { name, .. }) => assert_eq!(name, field),
+            Err(e) => panic!("zero {field}: wrong error {e}"),
+            Ok(_) => panic!("zero {field} must be rejected at bind"),
+        }
+    };
+    rejects("conn_workers", |c| c.conn_workers = 0);
+    rejects("keep_alive_requests", |c| c.keep_alive_requests = 0);
+}
+
+#[test]
+fn shutdown_alone_closes_the_listener() {
+    let (server, _backend, _session) = gated_server(true, 4, HttpConfig::new("127.0.0.1:0"));
+    let addr = server.local_addr();
+    // The accept thread is parked in a blocking accept; shutdown must
+    // wake it, and it must close the listener without any join. Probing
+    // with a connect would itself wake the accept, so poll by binding the
+    // port instead: that succeeds only once the listener is closed.
+    server.shutdown_handle().shutdown();
+    wait_until("listener closed", Duration::from_secs(1), || {
+        std::net::TcpListener::bind(addr).is_ok()
+    });
+    assert!(
+        TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
+        "a connect after shutdown must be refused"
+    );
+    server.join();
+}
+
+/// Binds `addr`, shuts down and joins, failing if the join hangs.
+fn shutdown_and_join_complete_on(addr: &str) {
+    let (server, _backend, _session) = gated_server(true, 4, HttpConfig::new(addr));
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown_handle().shutdown();
+        server.join();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|_| panic!("shutdown + join hung on a listener bound to {addr}"));
+}
+
+#[test]
+fn shutdown_and_join_complete_on_unspecified_and_ipv6_listeners() {
+    // `0.0.0.0` is not a connectable destination: the wake-up connect
+    // must go to loopback instead.
+    shutdown_and_join_complete_on("0.0.0.0:0");
+    if std::net::TcpListener::bind("[::1]:0").is_ok() {
+        shutdown_and_join_complete_on("[::1]:0");
+    } else {
+        eprintln!("no IPv6 loopback on this host; skipping the [::1] listener");
+    }
 }
 
 #[test]

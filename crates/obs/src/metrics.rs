@@ -40,7 +40,9 @@ impl Counter {
     }
 }
 
-/// A last-write-wins instantaneous value (queue depth, in-flight count).
+/// An instantaneous value (queue depth, in-flight count): either
+/// overwritten at scrape time with [`Gauge::set`], or kept live with
+/// paired [`Gauge::inc`] / [`Gauge::dec`] calls.
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicU64,
@@ -55,6 +57,17 @@ impl Gauge {
     /// Overwrites the value.
     pub fn set(&self, v: u64) {
         self.value.store(v, Ordering::Relaxed);
+    }
+
+    /// Adds one.
+    pub fn inc(&self) {
+        self.value.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Subtracts one. Callers pair it with an earlier [`Gauge::inc`] that
+    /// happens-before it, so the value never wraps below zero.
+    pub fn dec(&self) {
+        self.value.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -363,6 +376,10 @@ mod tests {
         assert_eq!(g.get(), 7);
         g.set(2);
         assert_eq!(g.get(), 2);
+        g.inc();
+        g.inc();
+        g.dec();
+        assert_eq!(g.get(), 3);
     }
 
     #[test]
