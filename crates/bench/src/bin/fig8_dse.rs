@@ -7,7 +7,7 @@
 //! evaluates ADP (analytic synthesis model) and MAE
 //! (level-domain circuit sim, property-tested equal to the bit-level one),
 //! and extracts the per-Bx Pareto fronts.
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use ascend::report::{eng, TextTable};
 use ascend::serve::{parallel_map, ServeConfig};

@@ -5,7 +5,8 @@
 //! input distributions, metric helpers and formatting they share.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::disallowed_methods)]
 
 use sc_nonlinear::mae::InputDist;
 

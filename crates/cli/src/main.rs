@@ -16,7 +16,8 @@
 //! offline and dependency-free). Errors print to stderr and exit 2 for
 //! usage problems, 1 for runtime failures.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::disallowed_methods)]
 use std::path::{Path, PathBuf};
 
 use ascend::engine::{EngineConfig, ScEngine};
@@ -926,6 +927,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "wall-clock deadlines bound the port-file polls; the test output never depends on them")]
     fn full_pipeline_through_artifact_files() {
         // The e2e smoke at miniature scale: train → compile → eval → serve
         // entirely through files in a temp dir.

@@ -4,7 +4,7 @@
 //! The paper's central claim is a *trade* between exact stochastic-computing
 //! execution and its high-precision reference — which means the stack must
 //! be able to run more than one point on that curve. Everything downstream
-//! of model loading ([`crate::serve::BatchRunner`], [`crate::Session`],
+//! of model loading ([`crate::serve::ServePool`], [`crate::Session`],
 //! `ascend-cli eval/serve`, the benches) is therefore written against this
 //! trait, not against a concrete engine:
 //!
@@ -25,6 +25,8 @@
 //! per-image [`InferenceBackend::forward_one`], so the per-image framing —
 //! the thing the parallel/serial bit-identity contract of [`crate::serve`]
 //! rests on — exists exactly once.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use ascend_obs::{Stage, StageObserver};
 use ascend_tensor::Tensor;
@@ -561,7 +563,7 @@ impl InferenceBackend for RefEngine {
 /// Fault sampling is **deterministic and schedule-independent**: the RNG
 /// stream for an image is derived from the wrapper seed and the image's own
 /// patch bits, never from call order. Parallel serving through
-/// [`crate::serve::BatchRunner`] therefore stays bit-identical to serial
+/// [`crate::serve::ServePool`] therefore stays bit-identical to serial
 /// execution even with faults enabled, and `rate == 0.0` is bit-identical
 /// to the inner backend (the input tensor is passed through untouched).
 pub struct FaultInjectingBackend<B> {

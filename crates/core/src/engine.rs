@@ -23,6 +23,8 @@
 //! scale factors; the engine therefore requires a BatchNorm model — exactly
 //! the constraint that motivates the paper's LN→BN swap (§V).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use ascend_obs::{Stage, StageObserver};
 use ascend_tensor::Tensor;
 use ascend_vit::norm::Norm;
@@ -379,7 +381,7 @@ impl ScEngine {
     /// `patches` holds the image's `[num_patches, patch_dim]` patch matrix.
     /// This is the shared per-image inner loop: the serial batched
     /// [`forward`](crate::backend::InferenceBackend::forward) and the
-    /// parallel [`crate::serve::BatchRunner`] both reach it through the
+    /// parallel [`crate::serve::ServePool`] both reach it through the
     /// [`InferenceBackend`](crate::backend::InferenceBackend) framing loop,
     /// which is what makes the parallel runtime bit-for-bit identical to
     /// the serial path by construction.

@@ -19,6 +19,8 @@
 //!   authority); even the whole-forward duration is derived as the sum of
 //!   stage durations rather than from a clock read of our own.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::sync::Arc;
 
 use ascend_obs::{HistSnapshot, Histogram, Registry, Stage, StageObserver, StageTimer};

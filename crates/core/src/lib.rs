@@ -24,9 +24,9 @@
 //!   compute arrays plus `k` parallel softmax blocks, costed with
 //!   [`sc_hw`]'s analytic synthesis model.
 //! * [`serve`] — the **parallel batched serving runtime**: a
-//!   [`serve::BatchRunner`] shards a request queue across a scoped worker
-//!   pool sharing the immutable compiled engine, bit-for-bit identical to
-//!   the serial path.
+//!   persistent [`serve::ServePool`] shards a request queue across
+//!   long-lived workers sharing the immutable compiled engine, bit-for-bit
+//!   identical to the serial path.
 //! * [`artifact`] — **persisted engine snapshots**: `ScEngine::save` /
 //!   `ScEngine::load` / `ScEngine::compile_from_checkpoint` over the
 //!   [`ascend_io`] container, so serving processes start from artifact
@@ -61,7 +61,8 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod accelerator;
 pub mod artifact;
@@ -80,7 +81,7 @@ pub use engine::{EngineConfig, ForwardScratch, ScEngine};
 pub use instrument::{InstrumentedBackend, StageStats};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineReport};
 pub use serve::{
-    BatchRunner, JobTiming, PoolObs, ServeConfig, ServeHandle, ServeOutcome, ServePool,
-    ServeReport, ServeRequest,
+    JobTiming, PoolObs, ServeConfig, ServeHandle, ServeOutcome, ServePool, ServeReport,
+    ServeRequest,
 };
 pub use session::{load_backend, BackendKind, Session, SessionBuilder};

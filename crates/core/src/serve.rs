@@ -52,6 +52,8 @@
 //! # }
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -307,11 +309,6 @@ fn nearest_rank(samples: &[Duration], p: f64) -> Duration {
     sorted.get(idx).copied().unwrap_or(Duration::ZERO)
 }
 
-/// The historical name of the serving entry point. Since the persistent
-/// pool landed, `run`/`run_batch` live on [`ServePool`] and every call
-/// reuses the pool's long-lived workers; the alias keeps the original
-/// batch-oriented name working.
-pub type BatchRunner<B = crate::engine::ScEngine> = ServePool<B>;
 
 /// The two-way timing split of one served request.
 ///
@@ -677,7 +674,7 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
         let (reply, rx) = mpsc::sync_channel(1);
         let images = request.images;
         let trace = request.trace.unwrap_or_else(TraceId::mint);
-        // ascend-lint: allow(no-wallclock-in-forward) -- admission timestamp for the queue-wait split; never reaches the logits
+        #[expect(clippy::disallowed_methods, reason = "admission timestamp for the queue-wait split; never reaches the logits")]
         let submitted = Instant::now();
         Ok((Job { patches: request.patches, images, trace, submitted, reply }, rx, images))
     }
@@ -717,7 +714,7 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
                 });
             }
         }
-        // ascend-lint: allow(no-wallclock-in-forward) -- wall/latency metrics feed ServeReport only, never the logits
+        #[expect(clippy::disallowed_methods, reason = "wall/latency metrics feed ServeReport only, never the logits")]
         let start = Instant::now();
         let images = requests.iter().map(|r| r.images).sum();
         let handles: Vec<ServeHandle> =
@@ -758,7 +755,7 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
             });
         }
         let mb = self.cfg.micro_batch;
-        // ascend-lint: allow(no-wallclock-in-forward) -- wall/latency metrics feed ServeReport only, never the logits
+        #[expect(clippy::disallowed_methods, reason = "wall/latency metrics feed ServeReport only, never the logits")]
         let start = Instant::now();
         // Each micro-batch tensor is built owned and moved straight into
         // the queue — no intermediate request vector, no clone.
@@ -792,7 +789,7 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
 
     /// Collects every handle in submission order, propagating the first
     /// error in request order (later outstanding replies are abandoned).
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "a private return tuple of logits, latencies and queue waits; a named struct would be used once")]
     fn collect_all(
         &self,
         handles: Vec<ServeHandle>,
@@ -858,7 +855,7 @@ fn worker_loop<B: InferenceBackend + ?Sized>(
         };
         gauges.queued.fetch_sub(1, Ordering::Relaxed);
         gauges.in_flight.fetch_add(1, Ordering::Relaxed);
-        // ascend-lint: allow(no-wallclock-in-forward) -- queue-wait/service split for ServeReport and the trace ring; timing never reaches the output tensor
+        #[expect(clippy::disallowed_methods, reason = "queue-wait/service split for ServeReport and the trace ring; timing never reaches the output tensor")]
         let t0 = Instant::now();
         let queue_wait = t0.saturating_duration_since(job.submitted);
         let result = backend.forward_with(&job.patches, job.images, &mut scratch);

@@ -32,6 +32,8 @@
 //! the process dies. An unbounded queue is an explicit `.queue_depth(0)`
 //! opt-in.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 

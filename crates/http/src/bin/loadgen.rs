@@ -20,7 +20,7 @@
 //!         --requests 200 --connections 8 --workers 2 --queue-depth 2
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::io::BufReader;
 use std::net::TcpStream;

@@ -40,7 +40,8 @@
 //! layout chosen so "bit-identical to the in-process serial path" is
 //! checkable by comparing raw bodies.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod client;
 pub mod http1;

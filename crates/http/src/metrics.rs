@@ -100,7 +100,7 @@ impl ServerMetrics {
             queue_capacity,
             in_flight,
             workers,
-            // ascend-lint: allow(no-wallclock-in-forward) -- serve-layer uptime anchor for the throughput gauge; never reaches the logits
+            #[expect(clippy::disallowed_methods, reason = "serve-layer uptime anchor for the throughput gauge; never reaches the logits")]
             started: Instant::now(),
         }
     }

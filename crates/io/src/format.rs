@@ -91,7 +91,7 @@ fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
-        // ascend-lint: allow(no-lossy-cast-in-io) -- the loop guard bounds i below 256, well inside u32
+        #[expect(clippy::cast_possible_truncation, reason = "the loop guard bounds i below 256, well inside u32")]
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
@@ -111,7 +111,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let table = TABLE.get_or_init(crc_table);
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
-        // ascend-lint: allow(no-lossy-cast-in-io) -- the index is masked to 8 bits before the cast, so no value can truncate
         c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
@@ -399,7 +398,7 @@ impl ArtifactWriter {
         let mut covered = Vec::with_capacity(16 + table_len);
         covered.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         covered.extend_from_slice(&self.kind.code().to_le_bytes());
-        // ascend-lint: allow(no-lossy-cast-in-io) -- add_section caps the count at MAX_SECTIONS (256), far inside u32
+        #[expect(clippy::cast_possible_truncation, reason = "add_section caps the count at MAX_SECTIONS (256), far inside u32")]
         covered.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         covered.extend_from_slice(&0u32.to_le_bytes()); // reserved
         for (tag, payload) in &self.sections {
@@ -410,7 +409,7 @@ impl ArtifactWriter {
             payload_offset += payload.len() as u64;
         }
 
-        // ascend-lint: allow(no-lossy-cast-in-io) -- capacity hint only; a truncated hint costs a realloc, never bytes
+        #[expect(clippy::cast_possible_truncation, reason = "capacity hint only; a truncated hint costs a realloc, never bytes")]
         let mut out = Vec::with_capacity(payload_offset as usize);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&covered[..12]);

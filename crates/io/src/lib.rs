@@ -86,7 +86,9 @@
 //! "Serving over HTTP" section and in `crates/registry`.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod checkpoint;
 pub mod format;

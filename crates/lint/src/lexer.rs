@@ -1,8 +1,8 @@
 //! A token-level scanner for Rust source.
 //!
 //! The rules in [`crate::rules`] must never fire on commented-out code, on
-//! string literals that merely *mention* `unwrap`, or on `#[cfg(test)]`
-//! modules (tests unwrap freely, and should). Regex-over-lines cannot make
+//! string literals that merely *mention* `recv()`, or on `#[cfg(test)]`
+//! modules (tests may block under a lock freely). Regex-over-lines cannot make
 //! those guarantees; a real lexer can. This one understands every Rust
 //! surface form that matters for that goal:
 //!
@@ -13,7 +13,7 @@
 //! * identifiers, numbers, and single-char punctuation.
 //!
 //! It is *not* a parser: it produces a flat token stream with line numbers,
-//! which is exactly the level the invariant rules match at. A post-pass
+//! which is the level the scope layer builds on. A post-pass
 //! ([`mark_test_regions`]) brace-matches `#[cfg(test)]` / `#[test]` items
 //! so rules can skip test code without a syntax tree.
 

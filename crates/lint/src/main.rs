@@ -1,44 +1,34 @@
-//! `ascend-lint` — CLI for the workspace invariant checker.
+//! `ascend-lint` — CLI for the workspace concurrency checker.
 //!
 //! ```text
-//! cargo run -p ascend-lint -- --check             # the CI gate
+//! cargo run -p ascend-lint -- --check                   # the CI gate
 //! cargo run -p ascend-lint -- --check --format github   # PR annotations
-//! cargo run -p ascend-lint -- --check --format json     # machine-readable
-//! cargo run -p ascend-lint -- --report            # every violation, incl. baselined
-//! cargo run -p ascend-lint -- --update-baseline   # rewrite crates/lint/baseline.tsv
-//! cargo run -p ascend-lint -- --parse-json FILE   # validate emitted JSON
+//! cargo run -p ascend-lint -- --report                  # every violation
 //! ```
 //!
 //! Exit codes follow the `ascend-cli` convention: 0 clean, 1 violations,
 //! 2 usage or I/O problems.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::path::PathBuf;
 
-use ascend_lint::{json, report, workspace};
+use ascend_lint::{report, workspace};
 
 const USAGE: &str = "\
-ascend-lint — static workspace invariant checker (see crates/lint/RULES.md)
+ascend-lint — static lock-discipline checker (see crates/lint/RULES.md)
 
 USAGE:
-    ascend-lint <--check|--report|--update-baseline> [--root PATH] [--format FMT]
-    ascend-lint --parse-json FILE
+    ascend-lint <--check|--report> [--root PATH] [--format FMT]
 
 MODES:
-    --check            Fail (exit 1) on any deny-class violation or any
-                       ratchet count above the committed baseline
-    --report           Print every violation, including baselined ones
-    --update-baseline  Rewrite crates/lint/baseline.tsv from the current
-                       tree (counts may only be committed if they shrank)
-    --parse-json FILE  Validate that FILE is well-formed JSON (exit 0
-                       valid, 1 malformed) — CI uses this to prove the
-                       `--format json` output round-trips
+    --check            Fail (exit 1) on any unwaived violation
+    --report           Print every violation and the waiver count (exit 0)
 
 OPTIONS:
     --root PATH        Workspace root (default: found from the current dir)
-    --format FMT       Output format for --check: text (default), github
-                       (workflow-command annotations), or json
+    --format FMT       Output format for --check: text (default) or github
+                       (workflow-command annotations)
 ";
 
 fn main() {
@@ -48,8 +38,7 @@ fn main() {
 fn run(args: &[String]) -> i32 {
     let mut mode: Option<&str> = None;
     let mut root_flag: Option<PathBuf> = None;
-    let mut format = "text";
-    let mut parse_json_file: Option<PathBuf> = None;
+    let mut github = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -57,16 +46,12 @@ fn run(args: &[String]) -> i32 {
                 print!("{USAGE}");
                 return 0;
             }
-            m @ ("--check" | "--report" | "--update-baseline") => {
+            m @ ("--check" | "--report") => {
                 if let Some(prev) = mode {
                     eprintln!("ascend-lint: `{m}` conflicts with `{prev}`\n{USAGE}");
                     return 2;
                 }
-                mode = match m {
-                    "--check" => Some("--check"),
-                    "--report" => Some("--report"),
-                    _ => Some("--update-baseline"),
-                };
+                mode = Some(if m == "--check" { "--check" } else { "--report" });
             }
             "--root" => match it.next() {
                 Some(p) => root_flag = Some(PathBuf::from(p)),
@@ -76,26 +61,14 @@ fn run(args: &[String]) -> i32 {
                 }
             },
             "--format" => match it.next().map(String::as_str) {
-                Some(f @ ("text" | "github" | "json")) => {
-                    format = match f {
-                        "github" => "github",
-                        "json" => "json",
-                        _ => "text",
-                    };
-                }
+                Some("text") => github = false,
+                Some("github") => github = true,
                 Some(other) => {
-                    eprintln!("ascend-lint: unknown format `{other}` (text|github|json)\n{USAGE}");
+                    eprintln!("ascend-lint: unknown format `{other}` (text|github)\n{USAGE}");
                     return 2;
                 }
                 None => {
-                    eprintln!("ascend-lint: `--format` needs a value (text|github|json)\n{USAGE}");
-                    return 2;
-                }
-            },
-            "--parse-json" => match it.next() {
-                Some(p) => parse_json_file = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("ascend-lint: `--parse-json` needs a file\n{USAGE}");
+                    eprintln!("ascend-lint: `--format` needs a value (text|github)\n{USAGE}");
                     return 2;
                 }
             },
@@ -105,35 +78,12 @@ fn run(args: &[String]) -> i32 {
             }
         }
     }
-    if let Some(file) = parse_json_file {
-        if mode.is_some() || format != "text" {
-            eprintln!("ascend-lint: `--parse-json` is a standalone mode\n{USAGE}");
-            return 2;
-        }
-        let body = match std::fs::read_to_string(&file) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("ascend-lint: cannot read {}: {e}", file.display());
-                return 2;
-            }
-        };
-        return match json::parse(&body) {
-            Ok(_) => {
-                println!("ascend-lint: {} is well-formed JSON", file.display());
-                0
-            }
-            Err(e) => {
-                eprintln!("ascend-lint: {} is malformed: {e}", file.display());
-                1
-            }
-        };
-    }
     let Some(mode) = mode else {
         eprint!("{USAGE}");
         return 2;
     };
-    if format != "text" && mode != "--check" {
-        eprintln!("ascend-lint: `--format {format}` only applies to `--check`\n{USAGE}");
+    if github && mode != "--check" {
+        eprintln!("ascend-lint: `--format github` only applies to `--check`\n{USAGE}");
         return 2;
     }
 
@@ -164,77 +114,25 @@ fn run(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let baseline = match workspace::load_baseline(&root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("ascend-lint: {e}");
-            return 2;
-        }
-    };
 
-    match mode {
-        "--report" => {
-            print!("{}", report::full_report(&outcome, &baseline));
-            0
-        }
-        "--update-baseline" => {
-            if let Err(e) = workspace::write_baseline(&root, &outcome) {
-                eprintln!("ascend-lint: {e}");
-                return 2;
-            }
-            println!(
-                "ascend-lint: baseline rewritten from {} files ({} ratcheted violations)",
-                outcome.files,
-                outcome.ratchet.values().map(Vec::len).sum::<usize>()
-            );
-            if !outcome.deny.is_empty() {
-                eprintln!(
-                    "ascend-lint: note — {} deny-class violations remain (a baseline never \
-                     covers those):",
-                    outcome.deny.len()
-                );
-                for v in &outcome.deny {
-                    eprintln!("  {}", v.render());
-                }
-                return 1;
-            }
-            0
-        }
-        _ => {
-            let result = report::check(&outcome, &baseline);
-            match format {
-                "github" => {
-                    print!("{}", report::render_github(&outcome, &baseline));
-                    return i32::from(!result.ok());
-                }
-                "json" => {
-                    print!("{}", report::render_json(&outcome, &baseline));
-                    return i32::from(!result.ok());
-                }
-                _ => {}
-            }
-            for note in &result.notes {
-                println!("ascend-lint: note — {note}");
-            }
-            if result.ok() {
-                println!(
-                    "ascend-lint: OK — {} files, {} active waivers, 0 deny violations, \
-                     ratchet within baseline",
-                    outcome.files, outcome.waivers
-                );
-                0
-            } else {
-                eprintln!("ascend-lint: FAIL — {} problem(s):", result.errors.len());
-                for e in &result.errors {
-                    eprintln!("  {e}");
-                }
-                eprintln!(
-                    "fix the violations, or waive a line with \
-                     `// ascend-lint: allow(<rule>) -- <reason>` (reason mandatory; \
-                     see crates/lint/RULES.md)"
-                );
-                1
-            }
-        }
+    if mode == "--report" {
+        print!("{}", report::full_report(&outcome));
+        return 0;
     }
+    if github {
+        print!("{}", report::render_github(&outcome));
+    } else if outcome.ok() {
+        println!("{}", report::summary(&outcome));
+    } else {
+        eprintln!("{}:", report::summary(&outcome));
+        for v in &outcome.violations {
+            eprintln!("  {}", v.render());
+        }
+        eprintln!(
+            "fix the violations, or waive a line with \
+             `// ascend-lint: allow(<rule>) -- <reason>` (reason mandatory; \
+             see crates/lint/RULES.md)"
+        );
+    }
+    i32::from(!outcome.ok())
 }

@@ -1,73 +1,21 @@
-//! Renderings of a lint run: the default text form, GitHub Actions
+//! Renderings of a lint run: the default text form and GitHub Actions
 //! workflow commands (`--format github`, annotations land on the
-//! offending line in the PR diff), and a machine-readable JSON document
-//! (`--format json`).
+//! offending line in the PR diff).
 
-use crate::baseline::{self, Baseline};
-use crate::json;
 use crate::workspace::Outcome;
 
-/// The `--check` result: pass/fail plus the lines to print.
-#[derive(Debug)]
-pub struct CheckResult {
-    /// Lines describing failures (empty = gate passes).
-    pub errors: Vec<String>,
-    /// Non-fatal notes (ratchet improvements to commit).
-    pub notes: Vec<String>,
-}
-
-impl CheckResult {
-    /// Whether the gate passes.
-    pub fn ok(&self) -> bool {
-        self.errors.is_empty()
-    }
-}
-
-/// Evaluates the gate: deny violations fail, ratchet growth fails,
-/// ratchet shrinkage is a note.
-pub fn check(outcome: &Outcome, baseline: &Baseline) -> CheckResult {
-    let mut errors: Vec<String> = outcome.deny.iter().map(|v| v.render()).collect();
-    let (growth, improvements) = baseline::compare(&outcome.ratchet_counts(), baseline);
-    errors.extend(growth);
-    CheckResult {
-        errors,
-        notes: improvements,
-    }
-}
-
-/// The full `--report` listing: every violation (deny and ratcheted),
-/// grouped and counted.
-pub fn full_report(outcome: &Outcome, baseline: &Baseline) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+/// The full `--report` listing: every violation, counted.
+pub fn full_report(outcome: &Outcome) -> String {
+    let mut out = format!(
         "ascend-lint: scanned {} files, {} active waivers\n\n",
         outcome.files, outcome.waivers
-    ));
-    if outcome.deny.is_empty() {
-        out.push_str("deny-class violations: none\n");
+    );
+    if outcome.violations.is_empty() {
+        out.push_str("violations: none\n");
     } else {
-        out.push_str(&format!("deny-class violations: {}\n", outcome.deny.len()));
-        for v in &outcome.deny {
+        out.push_str(&format!("violations: {}\n", outcome.violations.len()));
+        for v in &outcome.violations {
             out.push_str(&format!("  {}\n", v.render()));
-        }
-    }
-    out.push('\n');
-    if outcome.ratchet.is_empty() {
-        out.push_str("ratcheted violations: none\n");
-    } else {
-        out.push_str("ratcheted violations (baselined, may only decrease):\n");
-        for ((rule, krate), vs) in &outcome.ratchet {
-            let allowed = baseline
-                .get(&(rule.clone(), krate.clone()))
-                .copied()
-                .unwrap_or(0);
-            out.push_str(&format!(
-                "  {rule} in `{krate}`: {} (baseline {allowed})\n",
-                vs.len()
-            ));
-            for v in vs {
-                out.push_str(&format!("    {}\n", v.render()));
-            }
         }
     }
     out
@@ -84,13 +32,12 @@ fn gh_prop(s: &str) -> String {
     gh_data(s).replace(':', "%3A").replace(',', "%2C")
 }
 
-/// The `--format github` rendering: one `::error` annotation per deny
-/// violation anchored at its file and line, ratchet growth anchored at
-/// the baseline file, ratchet improvements as `::notice`, and a final
-/// plain summary line for the job log.
-pub fn render_github(outcome: &Outcome, baseline: &Baseline) -> String {
+/// The `--format github` rendering: one `::error` annotation per
+/// violation anchored at its file and line, and a final plain summary
+/// line for the job log.
+pub fn render_github(outcome: &Outcome) -> String {
     let mut out = String::new();
-    for v in &outcome.deny {
+    for v in &outcome.violations {
         out.push_str(&format!(
             "::error file={},line={},title={}::{}\n",
             gh_prop(&v.path),
@@ -99,181 +46,66 @@ pub fn render_github(outcome: &Outcome, baseline: &Baseline) -> String {
             gh_data(&v.msg)
         ));
     }
-    let (growth, improvements) = baseline::compare(&outcome.ratchet_counts(), baseline);
-    for g in &growth {
-        out.push_str(&format!(
-            "::error file={},line=1,title=ascend-lint ratchet::{}\n",
-            baseline::BASELINE_PATH,
-            gh_data(g)
-        ));
-    }
-    for n in &improvements {
-        out.push_str(&format!(
-            "::notice file={},line=1,title=ascend-lint ratchet::{}\n",
-            baseline::BASELINE_PATH,
-            gh_data(n)
-        ));
-    }
-    let problems = outcome.deny.len() + growth.len();
-    if problems == 0 {
-        out.push_str(&format!(
-            "ascend-lint: OK — {} files, {} active waivers\n",
-            outcome.files, outcome.waivers
-        ));
-    } else {
-        out.push_str(&format!("ascend-lint: FAIL — {problems} problem(s)\n"));
-    }
+    out.push_str(&summary(outcome));
+    out.push('\n');
     out
 }
 
-/// The `--format json` rendering: a single JSON object with the gate
-/// verdict, every deny violation, the per-(rule, crate) ratchet state,
-/// and the same error/note strings the text form prints. Guaranteed to
-/// round-trip through [`crate::json::parse`] (CI asserts this).
-pub fn render_json(outcome: &Outcome, baseline: &Baseline) -> String {
-    let result = check(outcome, baseline);
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"ok\": {},\n", result.ok()));
-    out.push_str(&format!("  \"files\": {},\n", outcome.files));
-    out.push_str(&format!("  \"waivers\": {},\n", outcome.waivers));
-    out.push_str("  \"deny\": [");
-    for (i, v) in outcome.deny.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"crate\": \"{}\", \"line\": {}, \"msg\": \"{}\"}}",
-            json::escape(v.rule),
-            json::escape(&v.path),
-            json::escape(&v.crate_name),
-            v.line,
-            json::escape(&v.msg)
-        ));
+/// The one-line verdict both output formats end with.
+pub fn summary(outcome: &Outcome) -> String {
+    if outcome.ok() {
+        format!(
+            "ascend-lint: OK — {} files, {} active waivers, 0 violations",
+            outcome.files, outcome.waivers
+        )
+    } else {
+        format!("ascend-lint: FAIL — {} problem(s)", outcome.violations.len())
     }
-    out.push_str(if outcome.deny.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"ratchet\": [");
-    for (i, ((rule, krate), vs)) in outcome.ratchet.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let allowed = baseline
-            .get(&(rule.clone(), krate.clone()))
-            .copied()
-            .unwrap_or(0);
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"crate\": \"{}\", \"count\": {}, \"baseline\": {}}}",
-            json::escape(rule),
-            json::escape(krate),
-            vs.len(),
-            allowed
-        ));
-    }
-    out.push_str(if outcome.ratchet.is_empty() { "],\n" } else { "\n  ],\n" });
-    for (key, lines) in [("errors", &result.errors), ("notes", &result.notes)] {
-        out.push_str(&format!("  \"{key}\": ["));
-        for (i, line) in lines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\"", json::escape(line)));
-        }
-        out.push_str(if lines.is_empty() { "]" } else { "\n  ]" });
-        out.push_str(if key == "errors" { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::JsonValue;
-    use crate::rules::{Violation, NO_PANIC_HOT, NO_PANIC_LIB};
-    use std::collections::BTreeMap;
+    use crate::rules::{Violation, LOCK_ORDER};
 
-    fn outcome(deny: Vec<Violation>, ratchet_n: usize) -> Outcome {
-        let mut ratchet = BTreeMap::new();
-        if ratchet_n > 0 {
-            let vs: Vec<Violation> = (0..ratchet_n)
-                .map(|i| Violation {
-                    rule: NO_PANIC_LIB,
-                    path: "crates/vit/src/model.rs".into(),
-                    crate_name: "vit".into(),
-                    line: i as u32 + 1,
-                    msg: "x".into(),
-                })
-                .collect();
-            ratchet.insert((NO_PANIC_LIB.to_string(), "vit".to_string()), vs);
-        }
+    fn outcome(violations: Vec<Violation>) -> Outcome {
         Outcome {
-            deny,
-            ratchet,
+            violations,
             files: 3,
             waivers: 1,
         }
     }
 
-    fn hot_violation() -> Violation {
+    fn order_violation() -> Violation {
         Violation {
-            rule: NO_PANIC_HOT,
+            rule: LOCK_ORDER,
             path: "crates/core/src/serve.rs".into(),
-            crate_name: "core".into(),
             line: 9,
-            msg: "`.unwrap()` panics".into(),
+            msg: "acquiring `core:b` while holding `core:a`".into(),
         }
     }
 
     #[test]
     fn clean_run_passes_and_says_none() {
-        let o = outcome(Vec::new(), 0);
-        let r = check(&o, &Baseline::new());
-        assert!(r.ok());
-        let text = full_report(&o, &Baseline::new());
-        assert!(text.contains("deny-class violations: none"));
-        assert!(text.contains("ratcheted violations: none"));
+        let o = outcome(Vec::new());
+        assert!(o.ok());
+        assert!(full_report(&o).contains("violations: none"));
+        assert!(summary(&o).starts_with("ascend-lint: OK — 3 files, 1 active waivers"));
     }
 
     #[test]
     fn deny_violation_fails_with_file_line_location() {
-        let o = outcome(vec![hot_violation()], 0);
-        let r = check(&o, &Baseline::new());
-        assert!(!r.ok());
-        assert!(r.errors[0].contains("crates/core/src/serve.rs:9"));
-        assert!(r.errors[0].contains(NO_PANIC_HOT));
-    }
-
-    #[test]
-    fn ratchet_within_baseline_passes_and_over_fails() {
-        let baseline: Baseline = [((NO_PANIC_LIB.to_string(), "vit".to_string()), 2)]
-            .into_iter()
-            .collect();
-        assert!(check(&outcome(Vec::new(), 2), &baseline).ok());
-        let r = check(&outcome(Vec::new(), 3), &baseline);
-        assert!(!r.ok());
-        assert!(r.errors[0].contains("exceed the baseline"));
-        // Shrink: ok but noted.
-        let r = check(&outcome(Vec::new(), 1), &baseline);
-        assert!(r.ok());
-        assert_eq!(r.notes.len(), 1);
-    }
-
-    #[test]
-    fn report_lists_ratcheted_locations() {
-        let baseline: Baseline = [((NO_PANIC_LIB.to_string(), "vit".to_string()), 2)]
-            .into_iter()
-            .collect();
-        let text = full_report(&outcome(Vec::new(), 2), &baseline);
-        assert!(text.contains("no-panic-in-lib in `vit`: 2 (baseline 2)"));
-        assert!(text.contains("crates/vit/src/model.rs:1"));
+        let o = outcome(vec![order_violation()]);
+        assert!(!o.ok());
+        let text = full_report(&o);
+        assert!(text.contains("crates/core/src/serve.rs:9 lock-order"), "{text}");
     }
 
     #[test]
     fn github_format_annotates_the_offending_line() {
-        let text = render_github(&outcome(vec![hot_violation()], 0), &Baseline::new());
+        let text = render_github(&outcome(vec![order_violation()]));
         assert!(
-            text.contains(
-                "::error file=crates/core/src/serve.rs,line=9,title=ascend-lint no-panic-in-hot-path::"
-            ),
+            text.contains("::error file=crates/core/src/serve.rs,line=9,title=ascend-lint lock-order::"),
             "{text}"
         );
         assert!(text.contains("ascend-lint: FAIL — 1 problem(s)"));
@@ -281,76 +113,12 @@ mod tests {
 
     #[test]
     fn github_format_escapes_message_data() {
-        let mut v = hot_violation();
+        let mut v = order_violation();
         v.msg = "50% done\nsecond line".into();
-        let text = render_github(&outcome(vec![v], 0), &Baseline::new());
+        let text = render_github(&outcome(vec![v]));
         assert!(text.contains("50%25 done%0Asecond line"), "{text}");
         // The annotation stays on one physical line.
         let ann = text.lines().next().unwrap();
         assert!(ann.ends_with("second line"), "{ann}");
-    }
-
-    #[test]
-    fn github_format_anchors_ratchet_growth_at_the_baseline_file() {
-        let text = render_github(&outcome(Vec::new(), 3), &Baseline::new());
-        assert!(
-            text.contains("::error file=crates/lint/baseline.tsv,line=1,title=ascend-lint ratchet::"),
-            "{text}"
-        );
-        // Improvements are notices, and a clean run says OK.
-        let baseline: Baseline = [((NO_PANIC_LIB.to_string(), "vit".to_string()), 2)]
-            .into_iter()
-            .collect();
-        let text = render_github(&outcome(Vec::new(), 1), &baseline);
-        assert!(text.contains("::notice file=crates/lint/baseline.tsv"), "{text}");
-        assert!(text.contains("ascend-lint: OK"), "{text}");
-    }
-
-    #[test]
-    fn json_format_parses_and_carries_the_verdict() {
-        let mut v = hot_violation();
-        v.msg = "quote \" backslash \\ newline\n".into();
-        let baseline: Baseline = [((NO_PANIC_LIB.to_string(), "vit".to_string()), 2)]
-            .into_iter()
-            .collect();
-        let text = render_json(&outcome(vec![v], 2), &baseline);
-        let doc = crate::json::parse(&text).expect("emitted JSON must parse");
-        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(false));
-        assert_eq!(doc.get("files").and_then(JsonValue::as_num), Some(3.0));
-        let deny = doc.get("deny").and_then(JsonValue::items).unwrap();
-        assert_eq!(deny.len(), 1);
-        assert_eq!(
-            deny[0].get("rule").and_then(JsonValue::as_str),
-            Some(NO_PANIC_HOT)
-        );
-        assert_eq!(deny[0].get("line").and_then(JsonValue::as_num), Some(9.0));
-        assert_eq!(
-            deny[0].get("msg").and_then(JsonValue::as_str),
-            Some("quote \" backslash \\ newline\n")
-        );
-        let ratchet = doc.get("ratchet").and_then(JsonValue::items).unwrap();
-        assert_eq!(ratchet[0].get("count").and_then(JsonValue::as_num), Some(2.0));
-        assert_eq!(
-            ratchet[0].get("baseline").and_then(JsonValue::as_num),
-            Some(2.0)
-        );
-        assert_eq!(
-            doc.get("errors").and_then(JsonValue::items).map(<[_]>::len),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn json_format_clean_run_is_ok_with_empty_arrays() {
-        let text = render_json(&outcome(Vec::new(), 0), &Baseline::new());
-        let doc = crate::json::parse(&text).expect("emitted JSON must parse");
-        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(true));
-        for key in ["deny", "ratchet", "errors", "notes"] {
-            assert_eq!(
-                doc.get(key).and_then(JsonValue::items).map(<[_]>::len),
-                Some(0),
-                "{key}"
-            );
-        }
     }
 }

@@ -1,39 +1,22 @@
-//! The invariant rules and the engine that applies them.
+//! The concurrency rules and the engine that applies them.
 //!
 //! Each rule backstops a runtime guarantee the test suite already proves
 //! dynamically (see `RULES.md` for the catalog and the mapping to tests).
-//! Rules come in two severities:
+//! All three are deny-class: zero unwaived violations anywhere. The other
+//! workspace invariants (panic surface, wall-clock reads, unordered
+//! containers, lossy codec casts, `unsafe`) are rustc/clippy lints,
+//! switched on where `RULES.md` lists.
 //!
-//! * **Deny** — zero unwaived violations allowed anywhere in the rule's
-//!   scope. These protect the hot-path contracts directly.
-//! * **Ratchet** — existing violations are tolerated up to the counts in
-//!   the checked-in baseline (`crates/lint/baseline.tsv`); the count per
-//!   (rule, crate) may only go *down*, exactly like the CI test-count
-//!   floor may only go up.
-//!
-//! Detection is token-sequence matching over [`crate::lexer`] output:
-//! comments, strings, and `#[cfg(test)]` regions can never fire a rule.
+//! The rules read the [`crate::scope`] analysis over [`crate::lexer`]
+//! output: comments, strings, and `#[cfg(test)]` regions can never fire a
+//! rule.
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{lex, Tok};
+use crate::lexer::lex;
 use crate::scope;
 use crate::waiver;
 
-/// Rule: no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
-/// `unimplemented!` in hot-path modules.
-pub const NO_PANIC_HOT: &str = "no-panic-in-hot-path";
-/// Rule: same panic surface, counted (ratcheted) in the rest of the
-/// library code.
-pub const NO_PANIC_LIB: &str = "no-panic-in-lib";
-/// Rule: no wall-clock reads in forward/compute crates.
-pub const NO_WALLCLOCK: &str = "no-wallclock-in-forward";
-/// Rule: no `HashMap`/`HashSet` in deterministic-output crates.
-pub const NO_UNORDERED: &str = "no-unordered-iteration";
-/// Rule: no potentially-truncating `as` casts in the artifact codec.
-pub const NO_LOSSY_CAST: &str = "no-lossy-cast-in-io";
-/// Rule: every crate root must carry `#![forbid(unsafe_code)]`.
-pub const MISSING_FORBID_UNSAFE: &str = "missing-forbid-unsafe";
 /// Rule: no potentially-blocking operation (channel `recv`/`send`,
 /// thread `join`, `ServePool::submit`, file I/O, `thread::sleep`, a
 /// `Condvar::wait` on a *different* mutex) while a lock guard is live.
@@ -49,19 +32,6 @@ pub const INVALID_WAIVER: &str = "invalid-waiver";
 /// Meta-rule: a well-formed waiver no violation ever matched.
 pub const UNUSED_WAIVER: &str = "unused-waiver";
 
-/// Every real (waivable) rule id, in catalog order.
-pub const RULES: [&str; 9] = [
-    NO_PANIC_HOT,
-    NO_PANIC_LIB,
-    NO_WALLCLOCK,
-    NO_UNORDERED,
-    NO_LOSSY_CAST,
-    MISSING_FORBID_UNSAFE,
-    NO_BLOCKING_UNDER_LOCK,
-    LOCK_ORDER,
-    CONDVAR_WAIT_LOOP,
-];
-
 /// One rule hit at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -69,9 +39,6 @@ pub struct Violation {
     pub rule: &'static str,
     /// Workspace-relative path, forward slashes.
     pub path: String,
-    /// Crate the path belongs to (directory name under `crates/`, or
-    /// `examples`).
-    pub crate_name: String,
     /// 1-based line.
     pub line: u32,
     /// Human-readable description.
@@ -85,13 +52,8 @@ impl Violation {
     }
 }
 
-/// Whether a rule ratchets against the baseline instead of failing
-/// outright: everything except [`NO_PANIC_LIB`] is deny-class.
-pub fn is_ratcheted(rule: &str) -> bool {
-    rule == NO_PANIC_LIB
-}
-
-/// The crate a workspace-relative path belongs to.
+/// The crate a workspace-relative path belongs to: the directory name
+/// under `crates/`, or `examples`. Lock sites are prefixed with it.
 pub fn crate_of(rel_path: &str) -> String {
     let mut parts = rel_path.split('/');
     match parts.next() {
@@ -100,79 +62,6 @@ pub fn crate_of(rel_path: &str) -> String {
         _ => "unknown".to_string(),
     }
 }
-
-/// Hot-path modules: the serving/backend/engine forward files, every
-/// `sc-*` kernel crate, the HTTP front-end (`ascend-http` library
-/// code — a panic there kills a socket thread or the listener, so it is
-/// held to the same deny-class bar; the `loadgen` bin is tooling, like
-/// the CLI, and rides the ratchet instead), the model registry
-/// (`ascend-registry` — its lock/warm/evict machinery runs on request
-/// threads, and a panic while the slot table is mid-update wedges every
-/// model behind the poisoned mutex), and the `ascend-obs` observability
-/// primitives (they run inside pool workers and connection threads — a
-/// panic in a metric update takes the request down with it).
-fn in_hot_path(rel: &str) -> bool {
-    matches!(
-        rel,
-        "crates/core/src/serve.rs"
-            | "crates/core/src/session.rs"
-            | "crates/core/src/backend.rs"
-            | "crates/core/src/engine.rs"
-            | "crates/core/src/instrument.rs"
-    ) || rel.starts_with("crates/sc-core/src/")
-        || rel.starts_with("crates/sc-nonlinear/src/")
-        || rel.starts_with("crates/sc-hw/src/")
-        || rel.starts_with("crates/obs/src/")
-        || rel.starts_with("crates/registry/src/")
-        || (rel.starts_with("crates/http/src/") && !rel.starts_with("crates/http/src/bin/"))
-}
-
-/// Crates whose outputs must be bit-identical across runs and worker
-/// counts — unordered iteration is banned here.
-fn in_forward_scope(rel: &str) -> bool {
-    matches!(
-        crate_of(rel).as_str(),
-        "sc-core" | "sc-nonlinear" | "sc-hw" | "tensor" | "vit" | "io" | "core"
-    )
-}
-
-/// Files where wall-clock reads are deny-class: every library file in the
-/// workspace *except* `ascend-obs` (the one sanctioned timing authority —
-/// all durations flow through its `StageTimer`/histograms/trace ring),
-/// the linter itself, and per-crate tooling bins under `src/bin/`.
-/// Serving code is in scope on purpose: its few sanctioned timestamp
-/// sites (the ServeReport metrics, the queue-wait/service split, the
-/// `/metrics` uptime anchor) each carry an explicit waiver stating why
-/// the read can never reach the logits.
-fn in_wallclock_scope(rel: &str) -> bool {
-    rel.starts_with("crates/")
-        && rel.contains("/src/")
-        && !rel.contains("/src/bin/")
-        && !rel.starts_with("crates/obs/")
-        && !rel.starts_with("crates/lint/")
-}
-
-/// The artifact codec: parsing paths must fail closed, never truncate.
-fn in_io_scope(rel: &str) -> bool {
-    rel.starts_with("crates/io/src/")
-}
-
-/// Crate roots that must carry `#![forbid(unsafe_code)]`: every `lib.rs`
-/// and `main.rs` under `crates/*/src`, every extra binary under
-/// `crates/*/src/bin/` (each is its own crate root — the attribute on
-/// `lib.rs` does not cover it), and every top-level bin/lib file of the
-/// `examples` crate.
-fn is_crate_root(rel: &str) -> bool {
-    (rel.starts_with("crates/") && (rel.ends_with("/src/lib.rs") || rel.ends_with("/src/main.rs")))
-        || (rel.starts_with("crates/") && rel.contains("/src/bin/") && rel.ends_with(".rs"))
-        || (rel.starts_with("examples/") && rel.ends_with(".rs") && rel.matches('/').count() == 1)
-}
-
-/// Integer targets an `as` cast can truncate into from a wider source.
-const NARROW_INTS: [&str; 8] = ["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
-
-/// Macro names whose invocation aborts instead of returning an error.
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// One file's analysis, before waiver application: the per-file
 /// violations, the waivers available to consume them, and the scope
@@ -186,8 +75,6 @@ const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"
 pub struct FileLint {
     /// Workspace-relative path, forward slashes.
     pub path: String,
-    /// Crate the path belongs to.
-    pub crate_name: String,
     /// Per-function scope analysis (lock sites, calls, blocking ops).
     pub fns: Vec<scope::FnScope>,
     /// Pre-waiver violations from the per-file rules.
@@ -212,135 +99,19 @@ fn site_list(sites: &[String]) -> String {
         .join(" + ")
 }
 
-/// Phase 1: runs every per-file rule over one source file.
+/// Phase 1: runs the per-file rules over one source file.
 pub fn analyze_file(rel_path: &str, src: &str) -> FileLint {
     let toks = lex(src);
     let waivers = waiver::extract(&toks);
-    let crate_name = crate_of(rel_path);
     let mut raw: Vec<Violation> = Vec::new();
     let mk = |rule: &'static str, line: u32, msg: String| Violation {
         rule,
         path: rel_path.to_string(),
-        crate_name: crate_name.clone(),
         line,
         msg,
     };
 
-    let code: Vec<&Tok> = toks.iter().filter(|t| t.is_code() && !t.in_test).collect();
-
-    // --- panic surface (hot-path deny + library ratchet) ------------------
-    let panic_rule = if in_hot_path(rel_path) {
-        NO_PANIC_HOT
-    } else {
-        NO_PANIC_LIB
-    };
-    for (i, t) in code.iter().enumerate() {
-        let next_is = |s: &str| matches!(code.get(i + 1), Some(n) if n.is(s));
-        let prev_is = |s: &str| i > 0 && code[i - 1].is(s);
-        if PANIC_MACROS.contains(&t.text.as_str()) && next_is("!") {
-            raw.push(mk(
-                panic_rule,
-                t.line,
-                format!("`{}!` aborts instead of returning an error", t.text),
-            ));
-        }
-        if (t.text == "unwrap" || t.text == "expect") && prev_is(".") && next_is("(") {
-            raw.push(mk(
-                panic_rule,
-                t.line,
-                format!(
-                    "`.{}()` panics on the error path; return a typed `ScError` instead",
-                    t.text
-                ),
-            ));
-        }
-    }
-
-    // --- wall-clock reads outside the timing authority --------------------
-    if in_wallclock_scope(rel_path) {
-        for (i, t) in code.iter().enumerate() {
-            if t.is("Instant")
-                && matches!(code.get(i + 1), Some(a) if a.is(":"))
-                && matches!(code.get(i + 2), Some(b) if b.is(":"))
-                && matches!(code.get(i + 3), Some(n) if n.is("now"))
-            {
-                raw.push(mk(
-                    NO_WALLCLOCK,
-                    t.line,
-                    "`Instant::now()` makes output depend on the clock".to_string(),
-                ));
-            }
-            if t.is("SystemTime") {
-                raw.push(mk(
-                    NO_WALLCLOCK,
-                    t.line,
-                    "`SystemTime` makes output depend on the clock".to_string(),
-                ));
-            }
-        }
-    }
-
-    // --- unordered containers in deterministic crates ---------------------
-    if in_forward_scope(rel_path) {
-        for t in &code {
-            if t.is("HashMap") || t.is("HashSet") {
-                raw.push(mk(
-                    NO_UNORDERED,
-                    t.line,
-                    format!(
-                        "`{}` iteration order is unspecified; use `BTreeMap`/`BTreeSet` in \
-                         bit-identical-output crates",
-                        t.text
-                    ),
-                ));
-            }
-        }
-    }
-
-    // --- lossy casts in the artifact codec --------------------------------
-    if in_io_scope(rel_path) {
-        for (i, t) in code.iter().enumerate() {
-            if t.is("as") {
-                if let Some(target) = code.get(i + 1) {
-                    if NARROW_INTS.contains(&target.text.as_str()) {
-                        raw.push(mk(
-                            NO_LOSSY_CAST,
-                            t.line,
-                            format!(
-                                "`as {}` silently truncates; use `{}::try_from` in codec paths",
-                                target.text, target.text
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // --- missing #![forbid(unsafe_code)] on crate roots -------------------
-    if is_crate_root(rel_path) {
-        let all_code: Vec<&Tok> = toks.iter().filter(|t| t.is_code()).collect();
-        let has = all_code.windows(8).any(|w| {
-            w[0].is("#")
-                && w[1].is("!")
-                && w[2].is("[")
-                && w[3].is("forbid")
-                && w[4].is("(")
-                && w[5].is("unsafe_code")
-                && w[6].is(")")
-                && w[7].is("]")
-        });
-        if !has {
-            raw.push(mk(
-                MISSING_FORBID_UNSAFE,
-                1,
-                "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
-            ));
-        }
-    }
-
-    // --- concurrency discipline (scope-aware) -----------------------------
-    let fns = scope::analyze(&toks, &format!("{crate_name}:"));
+    let fns = scope::analyze(&toks, &format!("{}:", crate_of(rel_path)));
     for f in &fns {
         for b in &f.blocking {
             if !b.held.is_empty() {
@@ -387,7 +158,6 @@ pub fn analyze_file(rel_path: &str, src: &str) -> FileLint {
 
     FileLint {
         path: rel_path.to_string(),
-        crate_name,
         fns,
         raw,
         waivers,
@@ -520,7 +290,6 @@ pub fn lock_order(files: &[FileLint]) -> Vec<Violation> {
         out.push(Violation {
             rule: LOCK_ORDER,
             path: path.clone(),
-            crate_name: crate_of(path),
             line: *line,
             msg,
         });
@@ -534,7 +303,6 @@ pub fn lock_order(files: &[FileLint]) -> Vec<Violation> {
 pub fn finish(file: FileLint, cross: Vec<Violation>) -> Vec<Violation> {
     let FileLint {
         path,
-        crate_name,
         mut raw,
         mut waivers,
         ..
@@ -557,7 +325,6 @@ pub fn finish(file: FileLint, cross: Vec<Violation>) -> Vec<Violation> {
             out.push(Violation {
                 rule: INVALID_WAIVER,
                 path: path.clone(),
-                crate_name: crate_name.clone(),
                 line: w.line,
                 msg: format!("malformed waiver: {why}"),
             });
@@ -565,7 +332,6 @@ pub fn finish(file: FileLint, cross: Vec<Violation>) -> Vec<Violation> {
             out.push(Violation {
                 rule: UNUSED_WAIVER,
                 path: path.clone(),
-                crate_name: crate_name.clone(),
                 line: w.line,
                 msg: format!(
                     "waiver for `{}` matched no violation; delete it",
@@ -587,262 +353,92 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
     finish(file, cross)
 }
 
-/// Ratchet-class violations grouped per `(rule, crate)` key.
-pub type RatchetMap = BTreeMap<(String, String), Vec<Violation>>;
-
-/// Splits violations into deny-class and ratchet-class, the latter counted
-/// per (rule, crate).
-pub fn partition(violations: Vec<Violation>) -> (Vec<Violation>, RatchetMap) {
-    let mut deny = Vec::new();
-    let mut ratchet: RatchetMap = BTreeMap::new();
-    for v in violations {
-        if is_ratcheted(v.rule) {
-            ratchet
-                .entry((v.rule.to_string(), v.crate_name.clone()))
-                .or_default()
-                .push(v);
-        } else {
-            deny.push(v);
-        }
-    }
-    (deny, ratchet)
-}
-
-/// Exposes waiver bookkeeping for reporting: how many waivers a file
-/// carries (used by `--report` statistics).
-pub fn count_waivers(src: &str) -> usize {
-    waiver::extract(&lex(src))
-        .iter()
-        .filter(|w| w.malformed.is_none())
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const HOT: &str = "crates/core/src/serve.rs";
-    const LIB: &str = "crates/vit/src/model.rs";
-    const IO: &str = "crates/io/src/format.rs";
+    const SERVE: &str = "crates/core/src/serve.rs";
 
     fn rules_fired(path: &str, src: &str) -> Vec<&'static str> {
         lint_source(path, src).into_iter().map(|v| v.rule).collect()
     }
 
-    #[test]
-    fn unwrap_in_hot_path_is_deny_class() {
-        let vs = lint_source(HOT, "fn f() { x.unwrap(); }");
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].rule, NO_PANIC_HOT);
-        assert_eq!(vs[0].line, 1);
-        assert!(!is_ratcheted(NO_PANIC_HOT));
-    }
-
-    #[test]
-    fn http_library_code_is_hot_path_but_loadgen_is_not() {
-        // A panic in the HTTP front-end kills a socket thread: the whole
-        // `ascend-http` library is deny-class. The loadgen bin is tooling
-        // and stays on the ratchet, but — being its own crate root — it
-        // must carry `#![forbid(unsafe_code)]` itself.
-        let src = "fn f() { x.unwrap(); }";
-        for file in ["crates/http/src/server.rs", "crates/http/src/http1.rs"] {
-            let vs = lint_source(file, src);
-            assert_eq!(vs.len(), 1, "{file}");
-            assert_eq!(vs[0].rule, NO_PANIC_HOT, "{file}");
-        }
-        let vs = lint_source("crates/http/src/bin/loadgen.rs", src);
-        assert_eq!(vs.iter().filter(|v| v.rule == NO_PANIC_LIB).count(), 1);
-        assert_eq!(vs.iter().filter(|v| v.rule == MISSING_FORBID_UNSAFE).count(), 1);
-        let clean = lint_source(
-            "crates/http/src/bin/loadgen.rs",
-            "#![forbid(unsafe_code)]\nfn f() {}",
-        );
-        assert!(clean.is_empty());
-    }
-
-    #[test]
-    fn unwrap_in_library_code_is_ratchet_class() {
-        let vs = lint_source(LIB, "fn f() { x.unwrap(); y.expect(\"m\"); }");
-        assert_eq!(vs.iter().filter(|v| v.rule == NO_PANIC_LIB).count(), 2);
-        assert!(is_ratcheted(NO_PANIC_LIB));
-    }
-
-    #[test]
-    fn panic_macros_fire_but_assert_does_not() {
-        let src = "fn f() { assert!(ok); assert_eq!(a, b); panic!(\"boom\"); unreachable!(); }";
-        let fired = rules_fired(HOT, src);
-        assert_eq!(fired, [NO_PANIC_HOT, NO_PANIC_HOT]);
-    }
-
-    #[test]
-    fn unwrap_or_variants_do_not_fire() {
-        let src = "fn f() { x.unwrap_or(0); y.unwrap_or_else(|| 1); z.unwrap_or_default(); \
-                   r.expect_end(); e.expect_err(\"m\"); }";
-        assert!(rules_fired(HOT, src).is_empty());
-    }
-
-    #[test]
-    fn commented_and_quoted_panics_do_not_fire() {
-        let src = "// x.unwrap() would panic!\n/* y.expect(\"no\") */\n\
-                   let s = \"unwrap() panic!\"; let r = r#\".unwrap()\"#;";
-        assert!(rules_fired(HOT, src).is_empty());
-    }
-
-    #[test]
-    fn test_module_panics_do_not_fire() {
-        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { x.unwrap(); panic!(); }\n}";
-        assert!(rules_fired(HOT, src).is_empty());
-    }
-
-    #[test]
-    fn instant_now_is_deny_class_everywhere_but_the_timing_authority() {
-        let src = "use std::time::Instant;\nfn f() { let t = Instant::now(); }";
-        let vs = lint_source(HOT, src);
-        assert_eq!(vs.iter().filter(|v| v.rule == NO_WALLCLOCK).count(), 1);
-        assert_eq!(
-            vs.iter().find(|v| v.rule == NO_WALLCLOCK).map(|v| v.line),
-            Some(2)
-        );
-        // The CLI and the HTTP front-end are library-surface code: a
-        // clock read there needs a waiver naming why it is sanctioned.
-        for file in ["crates/cli/src/main.rs", "crates/http/src/metrics.rs"] {
-            assert!(
-                lint_source(file, src).iter().any(|v| v.rule == NO_WALLCLOCK),
-                "{file} must be in wallclock scope"
-            );
-        }
-        // ascend-obs IS the timing authority: its clock reads are the
-        // sanctioned ones every other crate routes through.
-        assert!(lint_source("crates/obs/src/stage.rs", src)
-            .iter()
-            .all(|v| v.rule != NO_WALLCLOCK));
-        // Tooling bins (loadgen, bench figures) measure time by nature.
-        assert!(lint_source("crates/http/src/bin/loadgen.rs", src)
-            .iter()
-            .all(|v| v.rule != NO_WALLCLOCK));
-    }
-
-    #[test]
-    fn obs_primitives_are_hot_path_for_the_panic_rule() {
-        // A panic inside a metric update or span record runs on a pool
-        // worker or connection thread: deny-class, like the serve layer.
-        let vs = lint_source("crates/obs/src/metrics.rs", "fn f() { x.unwrap(); }");
-        assert_eq!(vs.iter().filter(|v| v.rule == NO_PANIC_HOT).count(), 1);
-        let vs = lint_source("crates/core/src/instrument.rs", "fn f() { x.unwrap(); }");
-        assert_eq!(vs.iter().filter(|v| v.rule == NO_PANIC_HOT).count(), 1);
-    }
-
-    #[test]
-    fn importing_instant_without_calling_now_is_fine() {
-        let src = "use std::time::Instant;\nfn f(t: Instant) -> Instant { t }";
-        assert!(rules_fired(HOT, src).iter().all(|r| *r != NO_WALLCLOCK));
-    }
-
-    #[test]
-    fn system_time_fires_anywhere_in_forward_scope() {
-        let src = "fn f() { let t = std::time::SystemTime::now(); }";
-        assert!(rules_fired("crates/tensor/src/tensor.rs", src).contains(&NO_WALLCLOCK));
-    }
-
-    #[test]
-    fn hashmap_fires_in_deterministic_crates_only() {
-        let src =
-            "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }";
-        let vs = lint_source("crates/sc-core/src/bitstream.rs", src);
-        assert!(vs.iter().any(|v| v.rule == NO_UNORDERED));
-        assert!(lint_source("crates/bench/src/lib.rs", src)
-            .iter()
-            .all(|v| v.rule != NO_UNORDERED));
-    }
-
-    #[test]
-    fn btreemap_is_always_fine() {
-        let src = "use std::collections::BTreeMap;\nfn f() { let m: BTreeMap<u32, u32> = BTreeMap::new(); }";
-        assert!(rules_fired("crates/sc-core/src/bitstream.rs", src).is_empty());
-    }
-
-    #[test]
-    fn narrowing_casts_fire_in_io_only() {
-        let src = "fn f(x: u64) -> usize { x as usize }";
-        assert!(rules_fired(IO, src).contains(&NO_LOSSY_CAST));
-        assert!(rules_fired("crates/core/src/artifact.rs", src)
-            .iter()
-            .all(|r| *r != NO_LOSSY_CAST));
-    }
-
-    #[test]
-    fn widening_casts_do_not_fire() {
-        let src = "fn f(x: u32) -> u64 { let a = x as u64; let b = x as f64; a }";
-        assert!(rules_fired(IO, src).is_empty());
-    }
-
-    #[test]
-    fn missing_forbid_unsafe_fires_on_crate_roots_only() {
-        let bare = "pub fn f() {}";
-        assert_eq!(
-            rules_fired("crates/io/src/lib.rs", bare),
-            [MISSING_FORBID_UNSAFE]
-        );
-        assert_eq!(
-            rules_fired("crates/cli/src/main.rs", bare),
-            [MISSING_FORBID_UNSAFE]
-        );
-        assert_eq!(
-            rules_fired("examples/quickstart.rs", bare),
-            [MISSING_FORBID_UNSAFE]
-        );
-        assert!(rules_fired("crates/io/src/format.rs", bare).is_empty());
-        let good = "#![forbid(unsafe_code)]\npub fn f() {}";
-        assert!(rules_fired("crates/io/src/lib.rs", good).is_empty());
+    /// A `Condvar::wait` outside any loop on line 4, with `above` as the
+    /// comment line before it and `trailing` after it on the same line.
+    fn bare_wait(above: &str, trailing: &str) -> String {
+        format!(
+            "fn f(m: &Mutex<bool>, cv: &Condvar) {{\n    let g = m.lock();\n    {above}\n    \
+             let g2 = cv.wait(g); {trailing}\n}}"
+        )
     }
 
     #[test]
     fn waiver_suppresses_exactly_its_rule_on_its_line() {
-        let src = "// ascend-lint: allow(no-panic-in-hot-path) -- clamp makes this total\n\
-                   fn f() { x.unwrap(); }";
-        assert!(rules_fired(HOT, src).is_empty());
+        let src = bare_wait("// ascend-lint: allow(condvar-wait-loop) -- single-shot handoff", "");
+        assert!(rules_fired(SERVE, &src).is_empty());
         // Same waiver, wrong rule: violation survives AND the waiver is
         // flagged unused.
-        let src = "// ascend-lint: allow(no-wallclock-in-forward) -- wrong rule\n\
-                   fn f() { x.unwrap(); }";
-        let fired = rules_fired(HOT, src);
-        assert!(fired.contains(&NO_PANIC_HOT));
+        let src = bare_wait("// ascend-lint: allow(lock-order) -- wrong rule", "");
+        let fired = rules_fired(SERVE, &src);
+        assert!(fired.contains(&CONDVAR_WAIT_LOOP));
         assert!(fired.contains(&UNUSED_WAIVER));
     }
 
     #[test]
     fn trailing_waiver_works_on_the_same_line() {
-        let src = "fn f() { x.unwrap() } // ascend-lint: allow(no-panic-in-hot-path) -- total by construction";
-        assert!(rules_fired(HOT, src).is_empty());
+        let src = bare_wait("", "// ascend-lint: allow(condvar-wait-loop) -- single-shot handoff");
+        assert!(rules_fired(SERVE, &src).is_empty());
     }
 
     #[test]
     fn waiver_does_not_leak_past_the_next_code_line() {
-        let src = "// ascend-lint: allow(no-panic-in-hot-path) -- only the next line\n\
-                   fn f() { x.unwrap(); }\n\
-                   fn g() { y.unwrap(); }";
-        let vs = lint_source(HOT, src);
-        assert_eq!(vs.iter().filter(|v| v.rule == NO_PANIC_HOT).count(), 1);
+        let src = "fn f(m: &Mutex<bool>, cv: &Condvar) {\n\
+                   \x20   let g = m.lock();\n\
+                   \x20   // ascend-lint: allow(condvar-wait-loop) -- only the next line\n\
+                   \x20   let g = cv.wait(g);\n\
+                   \x20   let g = cv.wait(g);\n\
+                   }";
+        let vs = lint_source(SERVE, src);
+        assert_eq!(vs.iter().filter(|v| v.rule == CONDVAR_WAIT_LOOP).count(), 1, "{vs:?}");
         assert_eq!(
-            vs.iter().find(|v| v.rule == NO_PANIC_HOT).map(|v| v.line),
-            Some(3)
+            vs.iter().find(|v| v.rule == CONDVAR_WAIT_LOOP).map(|v| v.line),
+            Some(5)
         );
     }
 
     #[test]
     fn malformed_waiver_is_a_violation() {
-        let src = "// ascend-lint: allow(no-panic-in-hot-path)\nfn f() { x.unwrap(); }";
-        let fired = rules_fired(HOT, src);
+        let src = bare_wait("// ascend-lint: allow(condvar-wait-loop)", "");
+        let fired = rules_fired(SERVE, &src);
         assert!(fired.contains(&INVALID_WAIVER));
         // And it does NOT suppress the violation.
-        assert!(fired.contains(&NO_PANIC_HOT));
+        assert!(fired.contains(&CONDVAR_WAIT_LOOP));
+    }
+
+    #[test]
+    fn waiver_naming_a_retired_rule_is_unused() {
+        // The panic, clock, container, cast and `unsafe` invariants are
+        // clippy/rustc lints now (escape hatch: `#[expect]`); an old
+        // waiver for one can never match, so it surfaces for deletion.
+        let src = "// ascend-lint: allow(no-panic-in-hot-path) -- old syntax\nfn f() { x.unwrap(); }";
+        let vs = lint_source(SERVE, src);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(vs[0].rule, UNUSED_WAIVER);
     }
 
     #[test]
     fn one_waiver_can_cover_two_rules() {
-        let src = "fn f() { let t = Instant::now().elapsed(); t.unwrap() }\
-                   // ascend-lint: allow(no-panic-in-hot-path, no-wallclock-in-forward) -- report timing only";
-        assert!(rules_fired(HOT, src).is_empty());
+        // A bare wait while a second guard is held breaks both rules on
+        // one line.
+        let src = "fn f(x: &S) {\n\
+                   \x20   let other = x.state.lock();\n\
+                   \x20   let g = x.m.lock();\n\
+                   \x20   let g = x.cv.wait(g); \
+                   // ascend-lint: allow(no-blocking-under-lock, condvar-wait-loop) -- startup barrier\n\
+                   }";
+        let unwaived = src.replace("// ascend-lint", "//");
+        assert_eq!(rules_fired(SERVE, &unwaived), [CONDVAR_WAIT_LOOP, NO_BLOCKING_UNDER_LOCK]);
+        assert!(rules_fired(SERVE, src).is_empty());
     }
 
     #[test]
@@ -853,47 +449,18 @@ mod tests {
     }
 
     #[test]
-    fn partition_routes_by_severity() {
-        let vs = vec![
-            Violation {
-                rule: NO_PANIC_HOT,
-                path: HOT.into(),
-                crate_name: "core".into(),
-                line: 1,
-                msg: String::new(),
-            },
-            Violation {
-                rule: NO_PANIC_LIB,
-                path: LIB.into(),
-                crate_name: "vit".into(),
-                line: 2,
-                msg: String::new(),
-            },
-        ];
-        let (deny, ratchet) = partition(vs);
-        assert_eq!(deny.len(), 1);
-        assert_eq!(
-            ratchet
-                .get(&(NO_PANIC_LIB.to_string(), "vit".to_string()))
-                .map(Vec::len),
-            Some(1)
-        );
-    }
-
-    #[test]
     fn recv_under_a_live_guard_is_flagged_at_the_blocking_line() {
         let src = "fn worker(rx: &Mutex<Receiver<u32>>) {\n\
                    \x20   let guard = rx.lock();\n\
                    \x20   let job = guard.recv();\n\
                    }";
-        let vs = lint_source(HOT, src);
+        let vs = lint_source(SERVE, src);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, NO_BLOCKING_UNDER_LOCK);
-        assert_eq!(vs[0].path, HOT);
+        assert_eq!(vs[0].path, SERVE);
         assert_eq!(vs[0].line, 3);
         assert!(vs[0].msg.contains("recv"), "{}", vs[0].msg);
         assert!(vs[0].msg.contains("core:rx"), "{}", vs[0].msg);
-        assert!(!is_ratcheted(NO_BLOCKING_UNDER_LOCK));
     }
 
     #[test]
@@ -905,7 +472,7 @@ mod tests {
                    \x20   };\n\
                    \x20   other.recv();\n\
                    }";
-        assert!(rules_fired(HOT, src).is_empty());
+        assert!(rules_fired(SERVE, src).is_empty());
     }
 
     #[test]
@@ -918,11 +485,11 @@ mod tests {
                    \x20   let g2 = x.b.lock();\n\
                    \x20   let g1 = x.a.lock();\n\
                    }";
-        let vs = lint_source(HOT, src);
+        let vs = lint_source(SERVE, src);
         let order: Vec<_> = vs.iter().filter(|v| v.rule == LOCK_ORDER).collect();
         assert_eq!(order.len(), 2, "{vs:?}");
-        assert_eq!((order[0].path.as_str(), order[0].line), (HOT, 3));
-        assert_eq!((order[1].path.as_str(), order[1].line), (HOT, 7));
+        assert_eq!((order[0].path.as_str(), order[0].line), (SERVE, 3));
+        assert_eq!((order[1].path.as_str(), order[1].line), (SERVE, 7));
         assert!(order[0].msg.contains("inverts the lock order"), "{}", order[0].msg);
         assert!(order[0].msg.contains("core:a") && order[0].msg.contains("core:b"));
     }
@@ -937,7 +504,7 @@ mod tests {
                    \x20   let g1 = x.a.lock();\n\
                    \x20   let g2 = x.b.lock();\n\
                    }";
-        assert!(rules_fired(HOT, src).is_empty());
+        assert!(rules_fired(SERVE, src).is_empty());
     }
 
     #[test]
@@ -946,7 +513,7 @@ mod tests {
                    \x20   let g = x.a.lock();\n\
                    \x20   let h = x.a.lock();\n\
                    }";
-        let vs = lint_source(HOT, src);
+        let vs = lint_source(SERVE, src);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, LOCK_ORDER);
         assert_eq!(vs[0].line, 3);
@@ -983,7 +550,7 @@ mod tests {
                    \x20   let g = m.lock();\n\
                    \x20   let g2 = cv.wait(g);\n\
                    }";
-        let vs = lint_source(HOT, src);
+        let vs = lint_source(SERVE, src);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, CONDVAR_WAIT_LOOP);
         assert_eq!(vs[0].line, 3);
@@ -998,7 +565,7 @@ mod tests {
                    \x20       g = cv.wait(g);\n\
                    \x20   }\n\
                    }";
-        assert!(rules_fired(HOT, src).is_empty());
+        assert!(rules_fired(SERVE, src).is_empty());
     }
 
     #[test]
@@ -1012,7 +579,7 @@ mod tests {
                    \x20       g = x.cv.wait(g);\n\
                    \x20   }\n\
                    }";
-        let vs = lint_source(HOT, src);
+        let vs = lint_source(SERVE, src);
         let fired: Vec<_> = vs.iter().map(|v| v.rule).collect();
         assert!(fired.contains(&NO_BLOCKING_UNDER_LOCK), "{vs:?}");
         assert!(!fired.contains(&CONDVAR_WAIT_LOOP), "{vs:?}");
@@ -1028,14 +595,14 @@ mod tests {
                    \x20   // ascend-lint: allow(no-blocking-under-lock) -- designed pull point\n\
                    \x20   let job = guard.recv();\n\
                    }";
-        assert!(rules_fired(HOT, src).is_empty());
+        assert!(rules_fired(SERVE, src).is_empty());
         // A waiver for the wrong rule leaves the violation AND goes unused.
         let src = "fn worker(rx: &Mutex<Receiver<u32>>) {\n\
                    \x20   let guard = rx.lock();\n\
                    \x20   // ascend-lint: allow(lock-order) -- wrong rule\n\
                    \x20   let job = guard.recv();\n\
                    }";
-        let fired = rules_fired(HOT, src);
+        let fired = rules_fired(SERVE, src);
         assert!(fired.contains(&NO_BLOCKING_UNDER_LOCK));
         assert!(fired.contains(&UNUSED_WAIVER));
     }
@@ -1054,6 +621,6 @@ mod tests {
                    \x20   // ascend-lint: allow(lock-order) -- shutdown path, serialized by caller\n\
                    \x20   let g1 = x.a.lock();\n\
                    }";
-        assert!(rules_fired(HOT, src).is_empty());
+        assert!(rules_fired(SERVE, src).is_empty());
     }
 }

@@ -1,8 +1,8 @@
 //! Brace/scope structure over the lexer's flat token stream.
 //!
-//! The token rules in [`crate::rules`] match fixed token windows; the
-//! concurrency rules cannot — "a channel `recv()` while a `MutexGuard`
-//! is live" is a property of *scopes*, not of any token window. This
+//! The concurrency rules in [`crate::rules`] cannot match fixed token
+//! windows — "a channel `recv()` while a `MutexGuard` is live" is a
+//! property of *scopes*, not of any token window. This
 //! module is the layer in between a lexer and a parser: it brace-matches
 //! blocks, tracks function-item boundaries, and follows lock-guard
 //! *bindings* (`let guard = m.lock()…`, `if let Ok(g) = m.lock()`, the

@@ -125,13 +125,13 @@ mod tests {
     #[test]
     fn well_formed_waiver_parses_rules_and_coverage() {
         let toks = lex(
-            "// ascend-lint: allow(no-panic-in-hot-path) -- guarded by the loop above\n\
-             let x = y.unwrap();",
+            "// ascend-lint: allow(condvar-wait-loop) -- one-shot startup latch\n\
+             let g = cv.wait(g);",
         );
         let ws = extract(&toks);
         assert_eq!(ws.len(), 1);
         assert!(ws[0].malformed.is_none());
-        assert_eq!(ws[0].rules, ["no-panic-in-hot-path"]);
+        assert_eq!(ws[0].rules, ["condvar-wait-loop"]);
         assert_eq!(ws[0].line, 1);
         assert_eq!(ws[0].covers, 2);
     }
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn trailing_waiver_covers_its_own_line() {
         let toks = lex(
-            "let x = y.unwrap(); // ascend-lint: allow(no-panic-in-hot-path) -- total by clamp",
+            "let g = cv.wait(g); // ascend-lint: allow(condvar-wait-loop) -- one-shot startup latch",
         );
         let ws = extract(&toks);
         assert_eq!(ws.len(), 1);
@@ -149,20 +149,20 @@ mod tests {
     #[test]
     fn multiple_rules_split_on_commas() {
         let ws = extract(&lex(
-            "// ascend-lint: allow(no-wallclock-in-forward, no-panic-in-hot-path) -- report timing\nf();",
+            "// ascend-lint: allow(lock-order, condvar-wait-loop) -- startup barrier\nf();",
         ));
         assert_eq!(
             ws[0].rules,
-            ["no-wallclock-in-forward", "no-panic-in-hot-path"]
+            ["lock-order", "condvar-wait-loop"]
         );
     }
 
     #[test]
     fn missing_reason_is_malformed() {
         for bad in [
-            "// ascend-lint: allow(no-panic-in-hot-path)",
-            "// ascend-lint: allow(no-panic-in-hot-path) --",
-            "// ascend-lint: allow(no-panic-in-hot-path) --   ",
+            "// ascend-lint: allow(condvar-wait-loop)",
+            "// ascend-lint: allow(condvar-wait-loop) --",
+            "// ascend-lint: allow(condvar-wait-loop) --   ",
         ] {
             let ws = extract(&lex(bad));
             assert_eq!(ws.len(), 1, "{bad}");
@@ -193,9 +193,9 @@ mod tests {
     #[test]
     fn doc_comments_never_carry_waivers() {
         for doc in [
-            "/// ascend-lint: allow(no-panic-in-hot-path) -- doc example\nf();",
-            "//! ascend-lint: allow(no-panic-in-hot-path) -- module docs\nf();",
-            "/** ascend-lint: allow(no-panic-in-hot-path) -- block docs */\nf();",
+            "/// ascend-lint: allow(condvar-wait-loop) -- doc example\nf();",
+            "//! ascend-lint: allow(condvar-wait-loop) -- module docs\nf();",
+            "/** ascend-lint: allow(condvar-wait-loop) -- block docs */\nf();",
         ] {
             assert!(extract(&lex(doc)).is_empty(), "{doc}");
         }

@@ -3,23 +3,21 @@
 //! The walker visits exactly the source the invariants govern: every
 //! `.rs` file under `crates/*/src` plus the top-level `examples/*.rs`
 //! bins. Integration-test trees (`crates/*/tests`, the repo-level
-//! `tests/`), criterion benches, vendored shims, and `target/` are test
-//! or third-party code and are skipped wholesale — rules already skip
-//! `#[cfg(test)]` regions inside the files they do visit.
+//! `tests/`), criterion benches, lint fixtures (`crates/lint/fixtures`),
+//! vendored shims, and `target/` are test or third-party code and are
+//! skipped wholesale — rules already skip `#[cfg(test)]` regions inside
+//! the files they do visit.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{self, Baseline};
-use crate::rules::{self, RatchetMap, Violation};
+use crate::rules::{self, Violation};
 
 /// Everything one lint run produces.
 #[derive(Debug)]
 pub struct Outcome {
-    /// Deny-class violations (must be zero for the gate to pass).
-    pub deny: Vec<Violation>,
-    /// Ratchet-class violations grouped per (rule, crate).
-    pub ratchet: RatchetMap,
+    /// Unwaived violations (must be zero for the gate to pass).
+    pub violations: Vec<Violation>,
     /// Files scanned.
     pub files: usize,
     /// Well-formed waivers found across the tree.
@@ -27,12 +25,9 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// Ratchet counts per (rule, crate) — the shape the baseline stores.
-    pub fn ratchet_counts(&self) -> BTreeMap<(String, String), usize> {
-        self.ratchet
-            .iter()
-            .map(|(k, v)| (k.clone(), v.len()))
-            .collect()
+    /// Whether the gate passes.
+    pub fn ok(&self) -> bool {
+        self.violations.is_empty()
     }
 }
 
@@ -143,45 +138,17 @@ pub fn run(root: &Path) -> Result<Outcome, String> {
     for v in rules::lock_order(&lints) {
         cross.entry(v.path.clone()).or_default().push(v);
     }
-    // Phase 3: waivers apply per file, covering both rule classes.
-    let mut all = Vec::new();
+    // Phase 3: waivers apply per file.
+    let mut violations = Vec::new();
     for lint in lints {
         let extra = cross.remove(&lint.path).unwrap_or_default();
-        all.extend(rules::finish(lint, extra));
+        violations.extend(rules::finish(lint, extra));
     }
-    let (deny, ratchet) = rules::partition(all);
     Ok(Outcome {
-        deny,
-        ratchet,
+        violations,
         files: files.len(),
         waivers,
     })
-}
-
-/// Loads the committed baseline (missing file = empty baseline).
-///
-/// # Errors
-///
-/// Malformed baseline contents.
-pub fn load_baseline(root: &Path) -> Result<Baseline, String> {
-    let path = root.join(baseline::BASELINE_PATH);
-    match std::fs::read_to_string(&path) {
-        Ok(body) => baseline::parse(&body),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::new()),
-        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-    }
-}
-
-/// Writes the measured counts as the new baseline.
-///
-/// # Errors
-///
-/// Propagates filesystem errors as strings.
-pub fn write_baseline(root: &Path, outcome: &Outcome) -> Result<(), String> {
-    let counts = outcome.ratchet_counts();
-    let path = root.join(baseline::BASELINE_PATH);
-    std::fs::write(&path, baseline::render(&counts))
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -211,6 +178,7 @@ mod tests {
         assert!(files.iter().all(|f| !f.starts_with("vendor/")));
         assert!(files.iter().all(|f| !f.starts_with("target/")));
         assert!(files.iter().all(|f| !f.contains("/benches/")));
+        assert!(files.iter().all(|f| !f.contains("/fixtures/")));
         // Sorted, deterministic.
         let mut sorted = files.clone();
         sorted.sort();

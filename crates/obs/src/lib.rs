@@ -3,7 +3,7 @@
 //! Every other crate in the workspace is either *compute* (the SC kernels,
 //! tensor ops, the engine forward) or *serving glue* (pool, HTTP front-end,
 //! CLI). Compute must stay clock-free so outputs are bit-reproducible — the
-//! `no-wallclock-in-forward` lint denies `Instant::now()` there — yet the
+//! `clippy::disallowed_methods` lint denies `Instant::now()` there — yet the
 //! serving layer has to answer "where did this request spend its time?".
 //! This crate resolves the tension by concentrating all timing in one place:
 //!
@@ -29,7 +29,7 @@
 //! held to the hot-path (panic-free) lint class: a metrics update must never
 //! be able to take down a worker thread.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![warn(missing_docs)]
 
 pub mod bench_json;

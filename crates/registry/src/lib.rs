@@ -59,7 +59,8 @@
 //! skips the load entirely. Shared backends are charged against the
 //! budget **once** (residency is deduplicated by `Arc` identity).
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::disallowed_methods)]
 #![warn(missing_docs)]
 
 use std::path::{Path, PathBuf};

@@ -22,7 +22,8 @@
 //! from a real synthesis run.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod blocks;
 pub mod cell;

@@ -16,7 +16,8 @@
 //! used by the table/figure benches.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod bernstein;
 pub mod fsm;

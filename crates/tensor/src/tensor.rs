@@ -360,6 +360,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics unless 2-D with at least one column.
+    #[expect(clippy::expect_used, reason = "m > 0 is asserted above, so every row is non-empty; a NaN logit means a broken forward pass and stops here on purpose")]
     pub fn argmax_rows(&self) -> Vec<usize> {
         assert_eq!(self.shape.len(), 2, "argmax_rows needs 2-D");
         let (n, m) = (self.shape[0], self.shape[1]);
@@ -396,6 +397,7 @@ impl Tensor {
     /// Row-wise softmax over the last axis (any rank ≥ 1), numerically
     /// stable.
     pub fn softmax_last(&self) -> Tensor {
+        #[expect(clippy::expect_used, reason = "softmax over the last axis is undefined on a rank-0 tensor; like the shape asserts, this is a caller bug")]
         let m = *self.shape.last().expect("rank ≥ 1");
         let rows = self.numel() / m;
         let mut out = vec![0.0f32; self.numel()];

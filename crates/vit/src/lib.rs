@@ -17,7 +17,8 @@
 //!   objective `ℓ_KL + β·(1/M)Σ ℓ_MSE` (§V).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod binder;
 pub mod config;

@@ -1,7 +1,7 @@
 //! Shared helpers for the ASCEND example binaries.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 /// Prints a section header.
 pub fn section(title: &str) {

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p ascend-examples --bin pareto_explorer [bx]`
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 use ascend::report::{eng, TextTable};
 use ascend_examples::section;
 use sc_core::rescale::RescaleMode;

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run -p ascend-examples --bin quickstart`
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 use ascend_examples::section;
 use sc_core::encoding::Thermometer;
 use sc_core::rescale::{rescale, RescaleMode};

@@ -15,7 +15,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::fixture::{engine_or_load, FixtureRecipe};
-use ascend::serve::{BatchRunner, ServeConfig, ServePool, ServeRequest};
+use ascend::serve::{ServeConfig, ServePool, ServeRequest};
 use ascend::{ForwardScratch, InferenceBackend, RefEngine};
 use ascend_tensor::Tensor;
 use ascend_vit::data::Dataset;
@@ -52,7 +52,7 @@ fn batch_runner_is_bit_identical_across_worker_counts() {
         let patches = test.patches(&idx, 4);
         let serial = engine.forward(&patches, n).expect("serial forward");
         for workers in [1usize, 2, 4] {
-            let runner = BatchRunner::new(
+            let runner = ServePool::new(
                 Arc::clone(&engine),
                 ServeConfig { workers, micro_batch: 4, queue_depth: 0 },
             )
