@@ -26,10 +26,7 @@ use std::path::Path;
 use ascend_io::checkpoint::{
     check_config, get_plan, get_vit_config, put_plan, put_vit_config, ModelCheckpoint,
 };
-use ascend_io::format::{
-    Artifact, ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader, SectionSource,
-    SectionWriter,
-};
+use ascend_io::format::{Artifact, ArtifactKind, ArtifactWriter, SectionReader, SectionWriter};
 use sc_core::encoding::Thermometer;
 use sc_core::rescale::RescaleMode;
 use sc_core::ScError;
@@ -121,37 +118,21 @@ impl ScEngine {
     /// propagates codec/block construction errors for invalid stored
     /// parameters.
     pub fn from_artifact(art: &Artifact) -> Result<ScEngine, ScError> {
-        Self::from_source(art)
-    }
+        art.expect_kind(ArtifactKind::Engine)?;
 
-    /// Reconstructs an engine from any [`SectionSource`] — the eager
-    /// [`Artifact`] or the lazy [`ArtifactReader`]. Reads exactly the
-    /// `ECFG`/`SMAX`/`LAYR`/`HEAD` sections.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::CorruptArtifact`] for kind or section mismatches;
-    /// [`ScError::Io`] if a lazy source fails to read; propagates
-    /// codec/block construction errors for invalid stored parameters.
-    pub fn from_source<S: SectionSource + ?Sized>(src: &S) -> Result<ScEngine, ScError> {
-        src.expect_kind(ArtifactKind::Engine)?;
-
-        let buf = src.section_bytes(TAG_ENGINE_CONFIG)?;
-        let mut cfg = SectionReader::new(TAG_ENGINE_CONFIG, &buf);
+        let mut cfg = art.section(TAG_ENGINE_CONFIG)?;
         let vit = get_vit_config(&mut cfg)?;
         let plan = get_plan(&mut cfg)?;
         let config = get_engine_config(&mut cfg)?;
         cfg.expect_end()?;
         check_config(&vit)?;
 
-        let buf = src.section_bytes(TAG_SOFTMAX)?;
-        let mut smax = SectionReader::new(TAG_SOFTMAX, &buf);
+        let mut smax = art.section(TAG_SOFTMAX)?;
         let softmax_cfg = get_softmax_config(&mut smax)?;
         smax.expect_end()?;
         let softmax = IterSoftmaxBlock::new(softmax_cfg)?;
 
-        let buf = src.section_bytes(TAG_LAYERS)?;
-        let mut layr = SectionReader::new(TAG_LAYERS, &buf);
+        let mut layr = art.section(TAG_LAYERS)?;
         let n = layr.get_usize()?;
         if n > 1 << 16 {
             return Err(corrupt(format!("implausible layer count {n}")));
@@ -198,8 +179,7 @@ impl ScEngine {
         }
         layr.expect_end()?;
 
-        let buf = src.section_bytes(TAG_HEAD)?;
-        let mut head = SectionReader::new(TAG_HEAD, &buf);
+        let mut head = art.section(TAG_HEAD)?;
         let head_affine = get_affine(&mut head)?;
         let patch_embed = get_linear(&mut head)?;
         let head_lin = get_linear(&mut head)?;
@@ -233,9 +213,9 @@ impl ScEngine {
     }
 
     /// Loads a compiled engine from an artifact file — the serving-process
-    /// entry point: no model, no dataset, no training code. Loading is
-    /// lazy: only the header, section table, and the four engine sections
-    /// are read, each validated by its own CRC.
+    /// entry point: no model, no dataset, no training code. The file is
+    /// read once through [`Artifact::read_from`], which checks every CRC
+    /// before any section is decoded.
     ///
     /// # Errors
     ///
@@ -243,7 +223,7 @@ impl ScEngine {
     /// the path does not exist), [`ScError::CorruptArtifact`] if
     /// verification or parsing fails.
     pub fn load(path: &Path) -> Result<ScEngine, ScError> {
-        ScEngine::from_source(&ArtifactReader::open(path)?)
+        ScEngine::from_artifact(&Artifact::read_from(path)?)
     }
 }
 
@@ -457,36 +437,71 @@ mod tests {
     }
 
     #[test]
-    fn lazy_load_is_bit_identical_to_eager_parse() {
-        use crate::backend::InferenceBackend;
-
-        let engine = tiny_engine();
-        let dir = std::env::temp_dir().join(format!("ascend-engine-lazy-{}", std::process::id()));
-        let path = dir.join("engine.sceng");
-        engine.save(&path).unwrap();
-
-        let lazy = ScEngine::load(&path).unwrap();
-        let eager = ScEngine::from_artifact(&Artifact::read_from(&path).unwrap()).unwrap();
-
-        let cfg = lazy.vit_config();
-        let n = cfg.num_patches() * cfg.patch_dim();
-        let patches = ascend_tensor::Tensor::from_vec(
-            (0..n).map(|i| ((i * 37 % 113) as f32 - 56.0) / 56.0).collect(),
-            &[cfg.num_patches(), cfg.patch_dim()],
-        );
-        let a = lazy.forward(&patches, 1).unwrap();
-        let b = eager.forward(&patches, 1).unwrap();
-        for (x, y) in a.data().iter().zip(b.data().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn load_from_missing_path_is_a_not_found_io_error() {
         let err =
             ScEngine::load(Path::new("/nonexistent/ascend/engine.sceng")).map(|_| ()).unwrap_err();
         assert!(matches!(err, ScError::Io { not_found: true, .. }), "got {err:?}");
+    }
+
+    /// Damaged copies of an artifact image: cut inside the header, the
+    /// section table and the last section, and one bit flipped in the
+    /// middle of each section's payload.
+    fn damaged_copies(bytes: &[u8]) -> Vec<(String, Vec<u8>)> {
+        let art = Artifact::from_bytes(bytes).unwrap();
+        let sizes: Vec<usize> = art.section_index().into_iter().map(|(_, n)| n).collect();
+        // A 24-byte header, then one 24-byte table entry per section.
+        let table_end = 24 + 24 * sizes.len();
+        let mut out = vec![
+            ("cut inside the header".to_string(), bytes[..12].to_vec()),
+            ("cut inside the table".to_string(), bytes[..table_end - 5].to_vec()),
+            ("cut inside the last section".to_string(), bytes[..bytes.len() - 1].to_vec()),
+        ];
+        let mut start = table_end;
+        for (i, n) in sizes.into_iter().enumerate() {
+            let mut flipped = bytes.to_vec();
+            flipped[start + n / 2] ^= 0x10;
+            out.push((format!("bit flip in section {i}"), flipped));
+            start += n;
+        }
+        out
+    }
+
+    #[test]
+    fn serving_loads_reject_damaged_files_on_disk() {
+        use crate::session::{load_backend, BackendKind};
+
+        let vit = ascend_vit::VitConfig {
+            image: 8,
+            patch: 4,
+            dim: 4,
+            layers: 1,
+            heads: 2,
+            mlp_ratio: 1,
+            classes: 2,
+            ..Default::default()
+        };
+        let calib = ascend_tensor::Tensor::zeros(&[vit.num_patches(), vit.patch_dim()]);
+        let ckpt = ModelCheckpoint::capture(&ascend_vit::VitModel::new(vit)).with_calib(calib, 1);
+        let dir = std::env::temp_dir().join(format!("ascend-load-damage-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("damaged.art");
+        let must_be_corrupt = |what: &str, got: Result<(), ScError>| {
+            assert!(matches!(got, Err(ScError::CorruptArtifact { .. })), "{what}: got {got:?}");
+        };
+
+        for (what, bytes) in damaged_copies(&tiny_engine().to_artifact().to_bytes()) {
+            std::fs::write(&path, bytes).unwrap();
+            must_be_corrupt(&what, ScEngine::load(&path).map(|_| ()));
+            must_be_corrupt(
+                &what,
+                load_backend(&path, BackendKind::Sc, EngineConfig::default()).map(|_| ()),
+            );
+        }
+        for (what, bytes) in damaged_copies(&ckpt.to_artifact().to_bytes()) {
+            std::fs::write(&path, bytes).unwrap();
+            must_be_corrupt(&what, ModelCheckpoint::load(&path).map(|_| ()));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

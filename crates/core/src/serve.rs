@@ -175,8 +175,7 @@ impl ServeReport {
     /// it. This is how front-ends that collect their own timings (the
     /// `ascend-http` `/metrics` exporter, the loadgen binary) reuse the
     /// percentile/throughput/summary machinery instead of re-deriving it.
-    /// Queue waits are empty; use [`ServeReport::from_split_parts`] when
-    /// the caller also measured time-in-queue.
+    /// Queue waits are empty.
     pub fn from_parts(
         latencies: Vec<Duration>,
         wall: Duration,
@@ -184,18 +183,6 @@ impl ServeReport {
         workers: usize,
     ) -> Self {
         ServeReport { latencies, queue_waits: Vec::new(), wall, images, workers }
-    }
-
-    /// [`ServeReport::from_parts`] with the queue-wait split: one queue
-    /// wait per request, index-aligned with `latencies`.
-    pub fn from_split_parts(
-        latencies: Vec<Duration>,
-        queue_waits: Vec<Duration>,
-        wall: Duration,
-        images: usize,
-        workers: usize,
-    ) -> Self {
-        ServeReport { latencies, queue_waits, wall, images, workers }
     }
 
     /// Number of requests served.
@@ -227,8 +214,7 @@ impl ServeReport {
 
     /// Per-request queue waits (admission to worker claim), in request
     /// order and index-aligned with [`ServeReport::latencies`]. Empty when
-    /// the report was assembled without the split
-    /// ([`ServeReport::from_parts`]).
+    /// the report was assembled by [`ServeReport::from_parts`].
     pub fn queue_waits(&self) -> &[Duration] {
         &self.queue_waits
     }
@@ -418,7 +404,7 @@ impl WorkQueue {
         if sent {
             Ok(())
         } else {
-            Err(pool_gone())
+            Err(ScError::PoolGone)
         }
     }
 
@@ -428,19 +414,13 @@ impl WorkQueue {
     fn try_send(&self, job: Job, depth: usize) -> Result<(), ScError> {
         match self {
             // An unbounded queue is never full; only disconnection fails.
-            WorkQueue::Unbounded(tx) => tx.send(job).map_err(|_| pool_gone()),
+            WorkQueue::Unbounded(tx) => tx.send(job).map_err(|_| ScError::PoolGone),
             WorkQueue::Bounded(tx) => tx.try_send(job).map_err(|e| match e {
                 mpsc::TrySendError::Full(_) => ScError::QueueFull { depth },
-                mpsc::TrySendError::Disconnected(_) => pool_gone(),
+                mpsc::TrySendError::Disconnected(_) => ScError::PoolGone,
             }),
         }
     }
-}
-
-/// The error surfaced when the worker side of the pool has vanished
-/// (a worker panicked, or every worker exited) — never silent.
-fn pool_gone() -> ScError {
-    ScError::PoolGone
 }
 
 /// Live occupancy gauges of a pool, shared with its workers.
@@ -483,7 +463,7 @@ impl ServeHandle {
     pub fn collect(self) -> Result<(Tensor, JobTiming), ScError> {
         match self.rx.recv() {
             Ok(served) => served.result.map(|t| (t, served.timing)),
-            Err(_) => Err(pool_gone()),
+            Err(_) => Err(ScError::PoolGone),
         }
     }
 }
@@ -622,7 +602,7 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
         // The queue is `Some` for the pool's whole life (taken only during
         // drop); a typed error keeps this hot path panic-free even if that
         // invariant ever breaks.
-        let queue = self.queue.as_ref().ok_or_else(pool_gone)?;
+        let queue = self.queue.as_ref().ok_or(ScError::PoolGone)?;
         queue.send(job)?;
         self.gauges.queued.fetch_add(1, Ordering::Relaxed);
         Ok(ServeHandle { rx, images })
@@ -643,7 +623,7 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
     /// [`ScError::PoolGone`] when no live workers remain.
     pub fn try_submit(&self, request: ServeRequest) -> Result<ServeHandle, ScError> {
         let (job, rx, images) = self.make_job(request)?;
-        let queue = self.queue.as_ref().ok_or_else(pool_gone)?;
+        let queue = self.queue.as_ref().ok_or(ScError::PoolGone)?;
         queue.try_send(job, self.cfg.queue_depth)?;
         self.gauges.queued.fetch_add(1, Ordering::Relaxed);
         Ok(ServeHandle { rx, images })

@@ -37,7 +37,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use ascend_io::format::{ArtifactKind, ArtifactReader};
+use ascend_io::format::{Artifact, ArtifactKind};
 use ascend_io::ModelCheckpoint;
 use ascend_tensor::Tensor;
 use sc_core::ScError;
@@ -289,9 +289,9 @@ impl SessionBuilder {
 
 /// Loads (or compiles) the backend for `kind` from an artifact file — the
 /// one artifact-to-backend path shared by [`SessionBuilder::build`] and
-/// `ascend-registry`'s lazy warming. The artifact kind is sniffed from the
-/// container header via a lazy [`ArtifactReader`], so only the sections
-/// the decoder touches are read and CRC-checked.
+/// `ascend-registry`'s lazy warming. The file is read once through
+/// [`Artifact::read_from`], which checks every CRC before decoding, and
+/// the backend is chosen by the verified artifact's kind.
 ///
 /// # Errors
 ///
@@ -305,10 +305,10 @@ pub fn load_backend(
     kind: BackendKind,
     engine_config: EngineConfig,
 ) -> Result<Box<dyn InferenceBackend>, ScError> {
-    let reader = ArtifactReader::open(path)?;
-    match reader.kind() {
+    let art = Artifact::read_from(path)?;
+    match art.kind() {
         ArtifactKind::Engine => match kind {
-            BackendKind::Sc => Ok(Box::new(ScEngine::from_source(&reader)?)),
+            BackendKind::Sc => Ok(Box::new(ScEngine::from_artifact(&art)?)),
             // The artifact itself is valid — only the backend request
             // cannot be satisfied from it — so this is a parameter error,
             // not corruption.
@@ -321,7 +321,9 @@ pub fn load_backend(
             }),
         },
         ArtifactKind::ModelCheckpoint => {
-            let ckpt = ModelCheckpoint::from_source(&reader)?;
+            let ckpt = ModelCheckpoint::from_artifact(&art)?;
+            // Free the file's bytes before compiling: only `ckpt` is needed.
+            drop(art);
             SessionBuilder::compile(kind, &ckpt, engine_config)
         }
     }

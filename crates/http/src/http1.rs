@@ -184,9 +184,15 @@ pub fn read_request<R: BufRead>(reader: &mut R, limits: &Limits) -> Result<Reque
         return Err(ParseError::NotImplemented("transfer-encoding".into()));
     }
 
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-        None => None,
-        Some((_, v)) => {
+    // RFC 9112 §6.3: a second length would frame the rest of this body
+    // as the next request on a keep-alive connection, so refuse it.
+    let mut lengths = headers.iter().filter(|(n, _)| n == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => None,
+        (Some(_), Some(_)) => {
+            return Err(ParseError::BadRequest("more than one content-length header".into()));
+        }
+        (Some((_, v)), None) => {
             let n: u64 = v
                 .parse()
                 .map_err(|_| ParseError::BadRequest(format!("bad content-length `{v}`")))?;
@@ -409,6 +415,10 @@ mod tests {
         assert!(matches!(
             parse(b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"),
             Err(ParseError::NotImplemented(_))
+        ));
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 5\r\n\r\nhello"),
+            Err(ParseError::BadRequest(_))
         ));
     }
 

@@ -4,11 +4,11 @@
 //! new socket to a small bounded channel, so a connection reaches a
 //! handler as soon as one is free; `conn_workers` handler threads each
 //! own one connection at a time and run its keep-alive loop. A handler
-//! waits at most [`IDLE_TIMEOUT`] for the first byte of each request, so
-//! silent sockets cannot hold every handler for the whole read deadline.
-//! The `ascend_http_handlers_busy` and `ascend_http_conn_backlog` gauges
-//! show handler occupancy and the hand-off backlog live. Inference
-//! admission inside a handler is strictly
+//! waits at most `IDLE_TIMEOUT` (1 s) for the first byte of each request,
+//! so silent sockets cannot hold every handler for the whole read
+//! deadline. The `ascend_http_handlers_busy` and
+//! `ascend_http_conn_backlog` gauges show handler occupancy and the
+//! hand-off backlog live. Inference admission inside a handler is strictly
 //! non-blocking ([`ServePool::try_submit`]): a full work queue answers
 //! `503 Retry-After` immediately, so a traffic burst can never wedge the
 //! socket threads behind a blocking submit — the bugfix this crate is
@@ -22,6 +22,8 @@
 //! (responses for admitted work are always written), remaining
 //! backlogged connections get one final exchange with
 //! `Connection: close`, and [`HttpServer::join`] joins every thread.
+//!
+//! [`ServePool::try_submit`]: ascend::ServePool::try_submit
 
 use std::io::{BufRead, BufReader};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};

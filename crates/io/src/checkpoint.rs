@@ -19,10 +19,7 @@ use ascend_vit::quant::SitePrecision;
 use ascend_vit::{NormKind, PrecisionPlan, SoftmaxKind, VitConfig, VitModel};
 use sc_core::ScError;
 
-use crate::format::{
-    corrupt, Artifact, ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader,
-    SectionSource, SectionWriter,
-};
+use crate::format::{corrupt, Artifact, ArtifactKind, ArtifactWriter, SectionReader, SectionWriter};
 
 /// Section tags of the checkpoint format.
 const TAG_CONFIG: [u8; 4] = *b"CFG ";
@@ -130,30 +127,15 @@ impl ModelCheckpoint {
     /// [`ScError::CorruptArtifact`] if the artifact is not a model
     /// checkpoint or a section is malformed.
     pub fn from_artifact(art: &Artifact) -> Result<Self, ScError> {
-        Self::from_source(art)
-    }
+        art.expect_kind(ArtifactKind::ModelCheckpoint)?;
 
-    /// Parses a checkpoint out of any [`SectionSource`] — the eager
-    /// [`Artifact`] or the lazy [`ArtifactReader`]. Reads exactly the
-    /// `CFG `/`PRM `/`NRM ` sections plus `CLB ` when present.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::CorruptArtifact`] if the artifact is not a model
-    /// checkpoint or a section is malformed; [`ScError::Io`] if a lazy
-    /// source fails to read.
-    pub fn from_source<S: SectionSource + ?Sized>(src: &S) -> Result<Self, ScError> {
-        src.expect_kind(ArtifactKind::ModelCheckpoint)?;
-
-        let buf = src.section_bytes(TAG_CONFIG)?;
-        let mut cfg = SectionReader::new(TAG_CONFIG, &buf);
+        let mut cfg = art.section(TAG_CONFIG)?;
         let config = get_vit_config(&mut cfg)?;
         let plan = get_plan(&mut cfg)?;
         cfg.expect_end()?;
         check_config(&config)?;
 
-        let buf = src.section_bytes(TAG_PARAMS)?;
-        let mut prm = SectionReader::new(TAG_PARAMS, &buf);
+        let mut prm = art.section(TAG_PARAMS)?;
         let n = prm.get_usize()?;
         if n > 1 << 20 {
             return Err(corrupt(format!("implausible parameter-tensor count {n}")));
@@ -161,8 +143,7 @@ impl ModelCheckpoint {
         let params: Vec<Tensor> = (0..n).map(|_| prm.get_tensor()).collect::<Result<_, _>>()?;
         prm.expect_end()?;
 
-        let buf = src.section_bytes(TAG_NORMS)?;
-        let mut nrm = SectionReader::new(TAG_NORMS, &buf);
+        let mut nrm = art.section(TAG_NORMS)?;
         let n = nrm.get_usize()?;
         if n > 1 << 20 {
             return Err(corrupt(format!("implausible norm-state count {n}")));
@@ -172,9 +153,8 @@ impl ModelCheckpoint {
             .collect::<Result<_, ScError>>()?;
         nrm.expect_end()?;
 
-        let calib = if src.has_section(TAG_CALIB) {
-            let buf = src.section_bytes(TAG_CALIB)?;
-            let mut clb = SectionReader::new(TAG_CALIB, &buf);
+        let calib = if art.has_section(TAG_CALIB) {
+            let mut clb = art.section(TAG_CALIB)?;
             let batch = clb.get_usize()?;
             let patches = clb.get_tensor()?;
             clb.expect_end()?;
@@ -195,9 +175,9 @@ impl ModelCheckpoint {
         self.to_artifact().write_to(path)
     }
 
-    /// Reads and verifies a checkpoint from `path`, lazily: only the
-    /// header, section table, and the sections the decoder touches are
-    /// read — each validated by its own CRC.
+    /// Reads and verifies a checkpoint from `path` through
+    /// [`Artifact::read_from`]: one read of the whole file, every CRC
+    /// checked before any section is decoded.
     ///
     /// # Errors
     ///
@@ -205,7 +185,7 @@ impl ModelCheckpoint {
     /// the path does not exist), [`ScError::CorruptArtifact`] if it fails
     /// verification or parsing.
     pub fn load(path: &Path) -> Result<Self, ScError> {
-        Self::from_source(&ArtifactReader::open(path)?)
+        Self::from_artifact(&Artifact::read_from(path)?)
     }
 }
 
@@ -421,21 +401,6 @@ mod tests {
         let loaded = ModelCheckpoint::from_artifact(&Artifact::from_bytes(&bytes).unwrap()).unwrap();
         assert_eq!(loaded.config.softmax, SoftmaxKind::IterApprox { k: 3 });
         assert!(loaded.plan.is_fp());
-    }
-
-    #[test]
-    fn lazy_load_equals_eager_parse_exactly() {
-        let model = tiny_model();
-        let patches = fake_patches(&model.config, 2);
-        let ckpt = ModelCheckpoint::capture(&model).with_calib(patches, 2);
-        let dir = std::env::temp_dir().join(format!("ascend-ckpt-lazy-{}", std::process::id()));
-        let path = dir.join("model.ckpt");
-        ckpt.save(&path).unwrap();
-        let lazy = ModelCheckpoint::load(&path).unwrap();
-        let eager = ModelCheckpoint::from_artifact(&Artifact::read_from(&path).unwrap()).unwrap();
-        assert_eq!(lazy, eager);
-        assert_eq!(lazy, ckpt);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

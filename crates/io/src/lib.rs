@@ -5,20 +5,20 @@
 //! *loads* artifacts. This crate is the persistence layer that makes that
 //! split real, with zero external dependencies (the build is offline):
 //!
-//! * [`format`] — the hand-rolled binary container: an 8-byte magic, a
-//!   format version, an artifact kind, and a CRC-protected section table
-//!   with one CRC32 per section payload. Every read path is bounds-checked
-//!   and returns a typed [`sc_core::ScError`]; corrupt or truncated files
-//!   can never panic or mis-load.
+//! * [`format`](mod@format) — the hand-rolled binary container: an
+//!   8-byte magic, a format version, an artifact kind, and a CRC-protected
+//!   section table with one CRC32 per section payload. Every read path is
+//!   bounds-checked and returns a typed [`sc_core::ScError`]; corrupt or
+//!   truncated files can never panic or mis-load.
 //! * [`checkpoint`] — [`checkpoint::ModelCheckpoint`]: the trained
 //!   [`ascend_vit::VitModel`] as plain data (config, precision plan, every
 //!   trainable tensor in bind order — including LSQ quantizer steps — BN
 //!   running statistics, and an optional calibration batch so an engine can
 //!   be compiled later without touching the training set).
 //!
-//! The compiled-engine artifact builds on [`format`] too, but lives in the
-//! `ascend` crate (`ScEngine::save`/`ScEngine::load`) because it snapshots
-//! engine internals.
+//! The compiled-engine artifact builds on [`format`](mod@format) too, but
+//! lives in the `ascend` crate (`ScEngine::save`/`ScEngine::load`) because
+//! it snapshots engine internals.
 //!
 //! ## `ASCNDART` container layout
 //!
@@ -58,23 +58,16 @@
 //! — `crates/io/tests/corruption.rs` proves every truncation and bit flip
 //! is caught.
 //!
-//! ## Multi-model registry & lazy sections
+//! ## One reader
 //!
-//! The section table already carries every payload's offset, length, and
-//! CRC, so a reader does not have to materialize the whole file to decode a
-//! model. Two access paths share one decoder via the
-//! [`format::SectionSource`] trait:
-//!
-//! * [`format::Artifact`] — **eager**: `read_from` slurps the file and
-//!   verifies every CRC up front. Right for one-shot tools (`info`,
-//!   `eval`) and for corruption tests.
-//! * [`format::ArtifactReader`] — **lazy**: `open` reads and verifies only
-//!   the 24-byte header + table (magic, version, kind, count, header CRC,
-//!   contiguous offsets, exact file length);
-//!   [`format::ArtifactReader::read_section`] then reads one payload from
-//!   disk and validates only that section's CRC. Cold-loading a model in
-//!   `ascend-registry` touches exactly the sections its decoder asks for,
-//!   so load time is dominated by i/o, not whole-file checksumming.
+//! [`format::Artifact`] is the only reader. [`format::Artifact::read_from`]
+//! reads the whole file with one `fs::read` and checks the header CRC, the
+//! section bounds and every payload CRC before any decoder runs; the
+//! verified artifact then holds the file's bytes once and hands out each
+//! section as a borrowed range of them. Every load — `ascend-cli`, a
+//! [`ModelCheckpoint::load`], an `ScEngine::load`, and so every
+//! `Session` build and registry warm — goes through this path, which is
+//! the one `crates/io/tests/corruption.rs` sweeps.
 //!
 //! A missing file surfaces as [`sc_core::ScError::Io`] with
 //! `not_found: true` (the registry's HTTP routes map it to 404); structural
@@ -94,7 +87,4 @@ pub mod checkpoint;
 pub mod format;
 
 pub use checkpoint::{CalibBatch, ModelCheckpoint};
-pub use format::{
-    Artifact, ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader, SectionSource,
-    SectionWriter,
-};
+pub use format::{Artifact, ArtifactKind, ArtifactWriter, SectionReader, SectionWriter};

@@ -14,7 +14,7 @@
 //!
 //! It is *not* a parser: it produces a flat token stream with line numbers,
 //! which is the level the scope layer builds on. A post-pass
-//! ([`mark_test_regions`]) brace-matches `#[cfg(test)]` / `#[test]` items
+//! (`mark_test_regions`) brace-matches `#[cfg(test)]` / `#[test]` items
 //! so rules can skip test code without a syntax tree.
 
 /// What a token is.
@@ -48,7 +48,7 @@ pub struct Tok {
     /// 1-based line the token *starts* on.
     pub line: u32,
     /// Whether the token sits inside a `#[cfg(test)]` module or `#[test]`
-    /// function (set by [`mark_test_regions`]).
+    /// function (set by `mark_test_regions`).
     pub in_test: bool,
 }
 

@@ -2,16 +2,16 @@
 //!
 //! One process, N named models. Each model is registered as a
 //! [`ModelSpec`] — a name plus where its weights come from — and is
-//! **lazily materialized** on first request: the registry opens the
-//! ASCNDART artifact through [`ascend_io`]'s lazy [`ArtifactReader`]
-//! (per-section CRC validation, no whole-file read), compiles the
+//! **lazily materialized** on first request: the registry reads the
+//! ASCNDART artifact once through [`ascend_io`]'s [`Artifact::read_from`]
+//! (one `fs::read`, every CRC checked before decoding), compiles the
 //! backend, wraps it in a [`Session`], and spawns the session's
 //! [`ServePool`] — all while the model is in the `Warming` state, so a
 //! cold model's first request pays the load once and every concurrent
 //! request for the same model waits on that single flight instead of
 //! loading again.
 //!
-//! [`ArtifactReader`]: ascend_io::format::ArtifactReader
+//! [`Artifact::read_from`]: ascend_io::Artifact::read_from
 //! [`ServePool`]: ascend::ServePool
 //!
 //! ## State machine
