@@ -53,7 +53,7 @@ SUBCOMMANDS:
     serve    Run the persistent serving pool on a saved artifact
              --engine PATH (required; engine artifact, or checkpoint)
              --backend sc|ref (sc)  --requests 8  --images 4
-             --workers 0 (auto)  --micro-batch 4  --queue-depth 2
+             --workers 0 (auto)  --queue-depth 2
              --rounds 1 (repeated rounds reuse one worker pool)
              --data-seed 7
              With --listen ADDR:PORT, serve over HTTP/1.1 instead of the
@@ -402,7 +402,6 @@ fn cmd_serve(flags: Flags) -> Result<(), CliError> {
     let requests: usize = flags.get_parsed("requests", 8)?;
     let images: usize = flags.get_parsed("images", 4)?;
     let workers: usize = flags.get_parsed("workers", 0)?;
-    let micro_batch: usize = flags.get_parsed("micro-batch", 4)?;
     let queue_depth: usize = flags.get_parsed("queue-depth", 2)?;
     let rounds: usize = flags.get_parsed("rounds", 1)?;
     let data_seed: u64 = flags.get_parsed("data-seed", 7)?;
@@ -417,7 +416,6 @@ fn cmd_serve(flags: Flags) -> Result<(), CliError> {
         .artifact(&engine_path)
         .backend(backend)
         .workers(workers)
-        .micro_batch(micro_batch)
         .queue_depth(queue_depth)
         .build()?;
     let cfg = *session.backend().vit_config();
@@ -496,7 +494,6 @@ fn cmd_serve_http(flags: Flags) -> Result<(), CliError> {
     let backend = parse_backend(&flags)?;
     let listen = flags.require("listen")?.to_string();
     let workers: usize = flags.get_parsed("workers", 0)?;
-    let micro_batch: usize = flags.get_parsed("micro-batch", 4)?;
     // Absent --queue-depth keeps the session's bounded default
     // (4 × workers); `--queue-depth 0` is the explicit unbounded opt-in.
     let queue_depth: Option<usize> = match flags.get("queue-depth") {
@@ -512,8 +509,7 @@ fn cmd_serve_http(flags: Flags) -> Result<(), CliError> {
     let mut builder = Session::builder()
         .artifact(&engine_path)
         .backend(backend)
-        .workers(workers)
-        .micro_batch(micro_batch);
+        .workers(workers);
     if let Some(depth) = queue_depth {
         builder = builder.queue_depth(depth);
     }
@@ -570,7 +566,6 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
     let backend = parse_backend(&flags)?;
     let listen = flags.require("listen")?.to_string();
     let workers: usize = flags.get_parsed("workers", 0)?;
-    let micro_batch: usize = flags.get_parsed("micro-batch", 4)?;
     let queue_depth: Option<usize> = match flags.get("queue-depth") {
         None => None,
         Some(_) => Some(flags.get_parsed("queue-depth", 0)?),
@@ -583,7 +578,7 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
     flags.reject_unknown()?;
 
     // Same bounded default as the single-model path: 4 × resolved workers.
-    let base = ascend::serve::ServeConfig { workers, micro_batch, queue_depth: 0 };
+    let base = ascend::serve::ServeConfig { workers, queue_depth: 0, ..Default::default() };
     let serve = ascend::serve::ServeConfig {
         queue_depth: queue_depth.unwrap_or(4 * base.resolved_workers()),
         ..base
@@ -1012,7 +1007,7 @@ mod tests {
         // queue (backpressure path) and must stay bit-stable.
         let serve_rounds = [
             "serve", "--engine", &eng, "--requests", "3", "--images", "1", "--workers", "2",
-            "--rounds", "3", "--queue-depth", "1", "--micro-batch", "1",
+            "--rounds", "3", "--queue-depth", "1",
         ]
         .map(String::from);
         assert_eq!(run(&serve_rounds), 0, "serve --rounds over a bounded queue failed");

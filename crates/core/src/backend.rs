@@ -20,15 +20,20 @@
 //!   thermometer input bits at a configurable rate before delegating to any
 //!   inner backend: the fault-tolerance scenario as a wrapper, not a fork.
 //!
-//! The batched [`InferenceBackend::forward`] / [`InferenceBackend::accuracy`]
-//! framing loops are *provided methods*: every backend supplies only its
-//! per-image [`InferenceBackend::forward_one`], so the per-image framing —
-//! the thing the parallel/serial bit-identity contract of [`crate::serve`]
-//! rests on — exists exactly once.
+//! A backend implements four methods: [`InferenceBackend::name`],
+//! [`InferenceBackend::vit_config`], [`InferenceBackend::plan`] and the
+//! per-image [`InferenceBackend::forward_one`], which takes the image's
+//! patches by value and a [`StageObserver`] for the forward's stage
+//! events. Everything else is provided: the batched
+//! [`InferenceBackend::forward`] / [`InferenceBackend::accuracy`] framing
+//! loops call `forward_one` with [`ascend_obs::NoopObserver`], so the
+//! per-image framing — the thing the parallel/serial bit-identity contract
+//! of [`crate::serve`] rests on — exists exactly once, and an observed
+//! forward is the bare forward by construction.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use ascend_obs::{Stage, StageObserver};
+use ascend_obs::{NoopObserver, Stage, StageObserver};
 use ascend_tensor::Tensor;
 use ascend_vit::norm::Norm;
 use ascend_vit::{NormKind, VitModel};
@@ -45,10 +50,11 @@ use crate::engine::{
 /// `&self`, and `Send + Sync` are supertraits so the persistent
 /// [`crate::serve::ServePool`] can own one backend (behind an
 /// [`std::sync::Arc`]) and share it across its long-lived worker threads.
-/// Implementors provide the per-image [`InferenceBackend::forward_one`];
-/// the batched framing loops are provided methods, so batched and
-/// per-image execution are bit-identical by construction for every
-/// backend.
+/// Implementors provide `name`, `vit_config`, `plan` and the per-image
+/// [`InferenceBackend::forward_one`]; `resident_bytes` and `make_scratch`
+/// have defaults an engine may override, and the batched framing loops
+/// are provided methods, so batched and per-image execution are
+/// bit-identical by construction for every backend.
 pub trait InferenceBackend: Send + Sync {
     /// Short human-readable backend name (e.g. `"sc-exact"`, `"float-ref"`).
     fn name(&self) -> &str;
@@ -74,12 +80,29 @@ pub trait InferenceBackend: Send + Sync {
     /// Allocates the per-thread scratch buffers
     /// [`InferenceBackend::forward_one`] needs. One instance per thread;
     /// the provided [`InferenceBackend::forward`] keeps one across its
-    /// whole batch, and each [`crate::serve`] worker owns one.
-    fn make_scratch(&self) -> ForwardScratch;
+    /// whole batch, and each [`crate::serve`] worker owns one. The default
+    /// is [`ForwardScratch::empty`]; decorators forward to their inner
+    /// backend so its pre-sized buffers survive the wrapping.
+    fn make_scratch(&self) -> ForwardScratch {
+        ForwardScratch::empty()
+    }
 
-    /// Runs inference for **one image**, returning its logits row.
+    /// Runs inference for **one image**, returning its logits row — the
+    /// one per-image entry point every backend implements.
     ///
     /// `patches` holds the image's `[num_patches, patch_dim]` patch matrix.
+    /// It is owned, so a decorator that modifies the input
+    /// ([`FaultInjectingBackend`]) perturbs it in place, never a copy.
+    ///
+    /// The engine backends emit clock-free [`StageObserver`] `enter`/`exit`
+    /// events around each forward stage (patch-embed, attention, softmax,
+    /// GELU, MLP, head); the *observer* — not the compute code — decides
+    /// what the events mean (the sanctioned [`ascend_obs::StageTimer`]
+    /// turns them into durations, and the unobserved framing loop passes
+    /// [`ascend_obs::NoopObserver`]). Backends without stage structure
+    /// ignore the observer; decorators pass it on. Observation must never
+    /// change the computation: the determinism suite compares observed and
+    /// bare logits bit for bit.
     ///
     /// # Errors
     ///
@@ -88,61 +111,10 @@ pub trait InferenceBackend: Send + Sync {
     /// [`ScError::InvalidParam`] instead of panicking.
     fn forward_one(
         &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError>;
-
-    /// [`InferenceBackend::forward_one`] for an **owned** patch tensor.
-    ///
-    /// The default simply borrows and delegates; decorators that modify
-    /// the input ([`FaultInjectingBackend`]) override it to perturb the
-    /// tensor *in place* instead of cloning. The batched framing loop
-    /// always owns its per-image slice and calls this entry point, so the
-    /// serving hot path never pays a defensive copy even under fault
-    /// injection.
-    ///
-    /// Overrides must stay bit-identical to
-    /// [`InferenceBackend::forward_one`] on the same input — both paths
-    /// feed the same determinism contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`InferenceBackend::forward_one`].
-    fn forward_one_owned(
-        &self,
         patches: Tensor,
         scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        self.forward_one(&patches, scratch)
-    }
-
-    /// [`InferenceBackend::forward_one`] with stage-boundary events.
-    ///
-    /// The engine backends emit clock-free [`StageObserver`] `enter`/`exit`
-    /// events around each forward stage (patch-embed, attention, softmax,
-    /// GELU, MLP, head); the *observer* — not the compute code — decides
-    /// what the events mean (the sanctioned [`ascend_obs::StageTimer`]
-    /// turns them into durations). The default ignores the observer and
-    /// delegates, so backends without stage structure (and decorators that
-    /// merely forward) stay correct.
-    ///
-    /// Overrides must stay **bit-identical** to
-    /// [`InferenceBackend::forward_one`] on the same input — observation
-    /// must never change the computation (the determinism suite enforces
-    /// this).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`InferenceBackend::forward_one`].
-    fn forward_one_observed(
-        &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
-    ) -> Result<Vec<f32>, ScError> {
-        let _ = observer;
-        self.forward_one(patches, scratch)
-    }
+    ) -> Result<Vec<f32>, ScError>;
 
     /// [`InferenceBackend::forward`] with caller-provided scratch — the
     /// batched entry point shared verbatim by the serial path and every
@@ -178,7 +150,7 @@ pub trait InferenceBackend: Send + Sync {
                 patches.data()[bi * p * pd..(bi + 1) * p * pd].to_vec(),
                 &[p, pd],
             );
-            out.extend(self.forward_one_owned(img, scratch)?);
+            out.extend(self.forward_one(img, scratch, &mut NoopObserver)?);
         }
         Ok(Tensor::from_vec(out, &[batch, classes]))
     }
@@ -258,25 +230,11 @@ impl<B: InferenceBackend + ?Sized> InferenceBackend for &B {
     }
     fn forward_one(
         &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        (**self).forward_one(patches, scratch)
-    }
-    fn forward_one_owned(
-        &self,
         patches: Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        (**self).forward_one_owned(patches, scratch)
-    }
-    fn forward_one_observed(
-        &self,
-        patches: &Tensor,
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        (**self).forward_one_observed(patches, scratch, observer)
+        (**self).forward_one(patches, scratch, observer)
     }
 }
 
@@ -298,25 +256,11 @@ impl<B: InferenceBackend + ?Sized> InferenceBackend for Box<B> {
     }
     fn forward_one(
         &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        (**self).forward_one(patches, scratch)
-    }
-    fn forward_one_owned(
-        &self,
         patches: Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        (**self).forward_one_owned(patches, scratch)
-    }
-    fn forward_one_observed(
-        &self,
-        patches: &Tensor,
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        (**self).forward_one_observed(patches, scratch, observer)
+        (**self).forward_one(patches, scratch, observer)
     }
 }
 
@@ -338,25 +282,11 @@ impl<B: InferenceBackend + ?Sized> InferenceBackend for std::sync::Arc<B> {
     }
     fn forward_one(
         &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        (**self).forward_one(patches, scratch)
-    }
-    fn forward_one_owned(
-        &self,
         patches: Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        (**self).forward_one_owned(patches, scratch)
-    }
-    fn forward_one_observed(
-        &self,
-        patches: &Tensor,
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        (**self).forward_one_observed(patches, scratch, observer)
+        (**self).forward_one(patches, scratch, observer)
     }
 }
 
@@ -472,21 +402,9 @@ impl InferenceBackend for RefEngine {
             + (self.cls_token.numel() + self.pos_embedding.numel()) * f32s
     }
 
-    fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch::empty()
-    }
-
     fn forward_one(
         &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        self.forward_one_observed(patches, scratch, &mut ascend_obs::NoopObserver)
-    }
-
-    fn forward_one_observed(
-        &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
@@ -495,7 +413,7 @@ impl InferenceBackend for RefEngine {
         let (s, d, h, dh) = (cfg.seq_len(), cfg.dim, cfg.heads, cfg.head_dim());
 
         observer.enter(Stage::PatchEmbed);
-        let tokens = linear(patches, &self.patch_embed.w, &self.patch_embed.b);
+        let tokens = linear(&patches, &self.patch_embed.w, &self.patch_embed.b);
         let mut x = assemble_sequence(&tokens, &self.cls_token, &self.pos_embedding, 1, cfg);
         observer.exit(Stage::PatchEmbed);
 
@@ -629,8 +547,8 @@ impl<B: InferenceBackend> FaultInjectingBackend<B> {
     /// under load stays one tensor per in-flight request.
     ///
     /// The RNG stream is seeded from the *pre-fault* bits (hashed in a
-    /// first read-only pass), so in-place mutation draws exactly the same
-    /// fault universe the old copying path drew.
+    /// first read-only pass), so the fault universe depends only on the
+    /// image, never on the buffer it arrives in.
     fn perturb_in_place(&self, patches: &mut Tensor) {
         let half = (self.bsl / 2) as f64;
         let absmax = patches
@@ -690,48 +608,15 @@ impl<B: InferenceBackend> InferenceBackend for FaultInjectingBackend<B> {
 
     fn forward_one(
         &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        if self.rate == 0.0 {
-            // Bit-identity contract: rate 0 never touches the input.
-            return self.inner.forward_one(patches, scratch);
-        }
-        // The borrowed entry point has to copy once; the owned one below
-        // (which the batched framing loop uses) perturbs with zero copies.
-        let mut owned = patches.clone();
-        self.perturb_in_place(&mut owned);
-        self.inner.forward_one_owned(owned, scratch)
-    }
-
-    fn forward_one_owned(
-        &self,
         mut patches: Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        if self.rate == 0.0 {
-            // Bit-identity contract: rate 0 never touches the input.
-            return self.inner.forward_one_owned(patches, scratch);
-        }
-        self.perturb_in_place(&mut patches);
-        self.inner.forward_one_owned(patches, scratch)
-    }
-
-    fn forward_one_observed(
-        &self,
-        patches: &Tensor,
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        if self.rate == 0.0 {
-            // Bit-identity contract: rate 0 never touches the input.
-            return self.inner.forward_one_observed(patches, scratch, observer);
+        // Bit-identity contract: rate 0 never touches the input.
+        if self.rate > 0.0 {
+            self.perturb_in_place(&mut patches);
         }
-        // Same fault universe as the unobserved paths: the RNG stream is
-        // keyed on the pre-fault bits, never on the entry point taken.
-        let mut owned = patches.clone();
-        self.perturb_in_place(&mut owned);
-        self.inner.forward_one_observed(&owned, scratch, observer)
+        self.inner.forward_one(patches, scratch, observer)
     }
 }
 
@@ -888,24 +773,6 @@ mod tests {
         wrapper.perturb_in_place(&mut p);
         for v in p.data() {
             assert!(v.abs() <= absmax + 1e-4, "{v} decodes outside ±{absmax}");
-        }
-    }
-
-    #[test]
-    fn owned_and_borrowed_fault_paths_are_bit_identical() {
-        // The in-place owned path (what the serving framing loop uses) and
-        // the borrowed clone-then-perturb path must draw the same fault
-        // universe and produce the same logits.
-        let engine = RefEngine::compile(&batchnorm_model()).unwrap();
-        let wrapper = FaultInjectingBackend::new(&engine, 0.1, 21).unwrap();
-        let (train, _) = ascend_vit::data::synth_cifar(2, 4, 2, 8, 3);
-        let patches = train.patches(&[0], 4);
-        let mut s1 = wrapper.make_scratch();
-        let mut s2 = wrapper.make_scratch();
-        let borrowed = wrapper.forward_one(&patches, &mut s1).expect("borrowed path");
-        let owned = wrapper.forward_one_owned(patches.clone(), &mut s2).expect("owned path");
-        for (a, b) in borrowed.iter().zip(owned.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "owned/borrowed fault paths diverged");
         }
     }
 }

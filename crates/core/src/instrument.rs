@@ -3,10 +3,11 @@
 //! Composes like [`crate::FaultInjectingBackend`] — wrap any
 //! [`InferenceBackend`] and serve through the same pool — but instead of
 //! perturbing inputs it *times* the forward's stages: each `forward_one`
-//! runs the inner backend's observed entry point with a fresh
-//! [`StageTimer`], then folds the per-stage durations into shared
-//! [`StageStats`] histograms (renderable under `/metrics`, printable as the
-//! `ascend-cli profile` table).
+//! runs the inner backend with a fresh [`StageTimer`], then folds the
+//! per-stage durations into shared [`StageStats`] histograms (renderable
+//! under `/metrics`, printable as the `ascend-cli profile` table). An
+//! observer the caller passes in still receives every stage event, and
+//! the forward is recorded either way.
 //!
 //! Two invariants:
 //!
@@ -216,44 +217,105 @@ impl<B: InferenceBackend> InferenceBackend for InstrumentedBackend<B> {
 
     fn forward_one(
         &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        let mut timer = StageTimer::new();
-        let out = self.inner.forward_one_observed(patches, scratch, &mut timer)?;
-        self.stats.record(&timer);
-        Ok(out)
-    }
-
-    fn forward_one_owned(
-        &self,
         patches: Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        // The observed entry point borrows; under a fault-injecting inner
-        // this costs the instrumented path one defensive copy (inside the
-        // fault decorator) that the bare owned path avoids — an accepted
-        // cost of profiling, never of plain serving.
-        self.forward_one(&patches, scratch)
-    }
-
-    fn forward_one_observed(
-        &self,
-        patches: &Tensor,
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        // An outer observer takes precedence: events flow to the caller,
-        // and this decorator's stats stay out of the way (no double
-        // timing of the same forward).
-        self.inner.forward_one_observed(patches, scratch, observer)
+        let mut tee = Tee { timer: StageTimer::new(), outer: observer };
+        let out = self.inner.forward_one(patches, scratch, &mut tee)?;
+        self.stats.record(&tee.timer);
+        Ok(out)
+    }
+}
+
+/// Times a forward into this decorator's own [`StageTimer`] while passing
+/// every event on to the caller's observer, so a nested observer neither
+/// hides the forward from [`StageStats`] nor misses an event.
+struct Tee<'a> {
+    timer: StageTimer,
+    outer: &'a mut dyn StageObserver,
+}
+
+impl StageObserver for Tee<'_> {
+    fn enter(&mut self, stage: Stage) {
+        self.outer.enter(stage);
+        self.timer.enter(stage);
+    }
+
+    fn exit(&mut self, stage: Stage) {
+        self.timer.exit(stage);
+        self.outer.exit(stage);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{FaultInjectingBackend, RefEngine};
+    use ascend_vit::{VitConfig, VitModel};
     use std::time::Duration;
+
+    fn ref_engine() -> RefEngine {
+        let cfg = VitConfig {
+            image: 8,
+            patch: 4,
+            dim: 16,
+            layers: 1,
+            heads: 2,
+            classes: 2,
+            ..Default::default()
+        };
+        RefEngine::compile(&VitModel::new(cfg)).expect("ref engine compiles")
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn instrumented_fault_decorator_is_bit_identical_to_bare_fault_decorator() {
+        // The instrumented forward hands its owned input straight to the
+        // fault decorator: same fault universe, same logits, one recorded
+        // forward per image.
+        let engine = ref_engine();
+        let bare = FaultInjectingBackend::new(&engine, 0.1, 21).expect("bare fault");
+        let instrumented = InstrumentedBackend::new(
+            FaultInjectingBackend::new(&engine, 0.1, 21).expect("wrapped fault"),
+        );
+        let (train, _) = ascend_vit::data::synth_cifar(2, 4, 2, 8, 3);
+        let patches = train.patches(&[0, 1, 2, 3], 4);
+        let want = bare.forward(&patches, 4).expect("bare forward");
+        let got = instrumented.forward(&patches, 4).expect("instrumented forward");
+        assert_same_bits(got.data(), want.data(), "instrumented vs bare fault decorator");
+        assert_eq!(instrumented.stats().forwards(), 4);
+        let clean = engine.forward(&patches, 4).expect("clean forward");
+        assert_ne!(clean.data(), want.data(), "rate 0.1 flipped no input bit");
+    }
+
+    #[test]
+    fn outer_observer_sees_every_stage_event_and_stats_still_count() {
+        let engine = ref_engine();
+        let instrumented = InstrumentedBackend::new(&engine);
+        let (train, _) = ascend_vit::data::synth_cifar(2, 4, 2, 8, 3);
+        let patches = train.patches(&[0], 4);
+        let mut scratch = instrumented.make_scratch();
+
+        let mut bare = StageTimer::new();
+        let want = engine.forward_one(patches.clone(), &mut scratch, &mut bare).expect("bare");
+        let mut outer = StageTimer::new();
+        let got = instrumented.forward_one(patches, &mut scratch, &mut outer).expect("observed");
+
+        assert_same_bits(&got, &want, "observed through the decorator vs bare");
+        for stage in Stage::ALL {
+            assert!(bare.calls(stage) > 0, "stage {stage:?} emitted no events");
+            assert_eq!(outer.calls(stage), bare.calls(stage), "outer missed {stage:?} pairs");
+            assert_eq!(instrumented.stats().stage_snapshot(stage).count(), 1);
+        }
+        assert_eq!(instrumented.stats().forwards(), 1);
+    }
 
     #[test]
     fn stats_record_only_completed_stage_pairs() {

@@ -16,8 +16,9 @@
 //!
 //! Three properties are hard contracts, not best efforts:
 //!
-//! * **Determinism** — every worker runs the same per-image
-//!   [`InferenceBackend::forward_one`] loop the serial path runs, each
+//! * **Determinism** — every worker runs the same provided
+//!   [`InferenceBackend::forward_with`] loop the serial path runs (one
+//!   [`InferenceBackend::forward_one`] per image, with a no-op observer), each
 //!   request is served by exactly one worker, and results are reassembled
 //!   in submission order, so parallel output is **bit-for-bit identical**
 //!   to serial output for any worker count, micro-batch size, or pool age

@@ -174,7 +174,7 @@ pub fn read_request<R: BufRead>(reader: &mut R, limits: &Limits) -> Result<Reque
         let Some((name, value)) = line.split_once(':') else {
             return Err(ParseError::BadRequest(format!("header without colon: `{line}`")));
         };
-        if name.is_empty() || name.contains(' ') {
+        if name.is_empty() || name.contains([' ', '\t']) {
             return Err(ParseError::BadRequest(format!("malformed header name `{name}`")));
         }
         headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
@@ -193,9 +193,13 @@ pub fn read_request<R: BufRead>(reader: &mut R, limits: &Limits) -> Result<Reque
             return Err(ParseError::BadRequest("more than one content-length header".into()));
         }
         (Some((_, v)), None) => {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| ParseError::BadRequest(format!("bad content-length `{v}`")))?;
+            // RFC 9110 §8.6: `1*DIGIT`; `u64::from_str` alone also takes a
+            // leading `+`.
+            let bad = || ParseError::BadRequest(format!("bad content-length `{v}`"));
+            if !v.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(bad());
+            }
+            let n: u64 = v.parse().map_err(|_| bad())?;
             Some(usize::try_from(n).map_err(|_| ParseError::BodyTooLarge)?)
         }
     };
@@ -418,6 +422,14 @@ mod tests {
         ));
         assert!(matches!(
             parse(b"POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 5\r\n\r\nhello"),
+            Err(ParseError::BadRequest(_))
+        ));
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello"),
+            Err(ParseError::BadRequest(_))
+        ));
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\ncontent\tlength: 5\r\n\r\nhello"),
             Err(ParseError::BadRequest(_))
         ));
     }

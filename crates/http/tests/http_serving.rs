@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use ascend::serve::ServeConfig;
 use ascend::{ForwardScratch, InferenceBackend, Session};
 use ascend_http::{client, HttpConfig, HttpServer};
+use ascend_obs::StageObserver;
 use ascend_tensor::Tensor;
 use ascend_vit::{PrecisionPlan, VitConfig};
 use sc_core::ScError;
@@ -66,13 +67,11 @@ impl InferenceBackend for GatedBackend {
     fn plan(&self) -> &PrecisionPlan {
         &self.plan
     }
-    fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch::empty()
-    }
     fn forward_one(
         &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         let mut open = match self.gate.lock() {
             Ok(g) => g,
@@ -107,13 +106,11 @@ impl InferenceBackend for PanickingBackend {
     fn plan(&self) -> &PrecisionPlan {
         &self.plan
     }
-    fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch::empty()
-    }
     fn forward_one(
         &self,
-        _patches: &Tensor,
+        _patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         panic!("worker down (intentional, this test kills the pool)");
     }
@@ -232,6 +229,16 @@ fn protocol_errors_get_typed_statuses() {
         .write_all(b"POST /v1/infer HTTP/1.1\r\ncontent-length: 999999999\r\n\r\n")
         .expect("write");
     assert_eq!(client::read_response(&mut reader).expect("response").status, 413);
+
+    // Content-Length is `1*DIGIT`: a signed length → 400.
+    let (mut reader, mut writer) = connect(addr);
+    writer.write_all(b"GET /healthz HTTP/1.1\r\ncontent-length: +0\r\n\r\n").expect("write");
+    assert_eq!(client::read_response(&mut reader).expect("response").status, 400);
+
+    // A tab inside a header name → 400.
+    let (mut reader, mut writer) = connect(addr);
+    writer.write_all(b"GET /healthz HTTP/1.1\r\nx\tname: v\r\n\r\n").expect("write");
+    assert_eq!(client::read_response(&mut reader).expect("response").status, 400);
 
     // POST without content-length → 411.
     let (mut reader, mut writer) = connect(addr);

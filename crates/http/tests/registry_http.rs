@@ -13,6 +13,7 @@ use std::time::Duration;
 use ascend::serve::ServeConfig;
 use ascend::{ForwardScratch, InferenceBackend};
 use ascend_http::{client, HttpConfig, HttpServer};
+use ascend_obs::StageObserver;
 use ascend_registry::{ModelRegistry, ModelSpec, RegistryConfig};
 use ascend_tensor::Tensor;
 use ascend_vit::{PrecisionPlan, VitConfig};
@@ -50,13 +51,11 @@ impl InferenceBackend for ScaledBackend {
     fn resident_bytes(&self) -> usize {
         self.bytes
     }
-    fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch::empty()
-    }
     fn forward_one(
         &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         let sum: f32 = patches.data().iter().sum::<f32>() * self.scale;
         Ok(vec![sum, -sum])

@@ -707,6 +707,7 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use ascend::ForwardScratch;
+    use ascend_obs::StageObserver;
     use ascend_vit::{PrecisionPlan, VitConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -791,13 +792,11 @@ mod tests {
             }
             self.bytes
         }
-        fn make_scratch(&self) -> ForwardScratch {
-            ForwardScratch::empty()
-        }
         fn forward_one(
             &self,
-            patches: &ascend_tensor::Tensor,
+            patches: ascend_tensor::Tensor,
             _scratch: &mut ForwardScratch,
+            _observer: &mut dyn StageObserver,
         ) -> Result<Vec<f32>, ScError> {
             let sum: f32 = patches.data().iter().sum();
             Ok(vec![sum, -sum])

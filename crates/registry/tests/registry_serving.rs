@@ -15,6 +15,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::fixture::{engine_or_load, FixtureRecipe};
 use ascend::{ForwardScratch, InferenceBackend, ServeConfig, ServeRequest};
+use ascend_obs::StageObserver;
 use ascend_registry::{ModelRegistry, ModelSpec, ModelState, RegistryConfig};
 use ascend_tensor::Tensor;
 use ascend_vit::data::Dataset;
@@ -180,13 +181,11 @@ impl InferenceBackend for GatedBackend {
     fn resident_bytes(&self) -> usize {
         1000
     }
-    fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch::empty()
-    }
     fn forward_one(
         &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         let mut open = match self.gate.lock() {
             Ok(g) => g,
@@ -229,13 +228,11 @@ impl InferenceBackend for StubBackend {
     fn resident_bytes(&self) -> usize {
         1000
     }
-    fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch::empty()
-    }
     fn forward_one(
         &self,
-        _patches: &Tensor,
+        _patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         Ok(vec![0.0, 0.0])
     }
@@ -312,13 +309,11 @@ fn prop_registry() -> ModelRegistry {
         fn resident_bytes(&self) -> usize {
             self.bytes
         }
-        fn make_scratch(&self) -> ForwardScratch {
-            ForwardScratch::empty()
-        }
         fn forward_one(
             &self,
-            _patches: &Tensor,
+            _patches: Tensor,
             _scratch: &mut ForwardScratch,
+            _observer: &mut dyn StageObserver,
         ) -> Result<Vec<f32>, ScError> {
             Ok(vec![0.0, 0.0])
         }

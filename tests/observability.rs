@@ -19,7 +19,7 @@ use ascend::fixture::{engine_or_load, FixtureRecipe};
 use ascend::instrument::{InstrumentedBackend, StageStats};
 use ascend::serve::{ServeConfig, ServePool, ServeReport, ServeRequest};
 use ascend::{ForwardScratch, InferenceBackend};
-use ascend_obs::{Registry, TraceId};
+use ascend_obs::{Registry, StageObserver, TraceId};
 use ascend_tensor::Tensor;
 use ascend_vit::data::Dataset;
 use ascend_vit::{PrecisionPlan, VitConfig};
@@ -153,13 +153,11 @@ impl InferenceBackend for GatedBackend {
     fn plan(&self) -> &PrecisionPlan {
         &self.plan
     }
-    fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch::empty()
-    }
     fn forward_one(
         &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         let mut open = self.gate.lock().expect("gate lock");
         while !*open {

@@ -17,6 +17,7 @@ use ascend::engine::{EngineConfig, ScEngine};
 use ascend::fixture::{engine_or_load, FixtureRecipe};
 use ascend::serve::{ServeConfig, ServePool, ServeRequest};
 use ascend::{ForwardScratch, InferenceBackend, RefEngine};
+use ascend_obs::{NoopObserver, StageObserver};
 use ascend_tensor::Tensor;
 use ascend_vit::data::Dataset;
 use ascend_vit::{PrecisionPlan, VitConfig};
@@ -230,13 +231,11 @@ impl InferenceBackend for GatedBackend {
     fn plan(&self) -> &PrecisionPlan {
         &self.plan
     }
-    fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch::empty()
-    }
     fn forward_one(
         &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         let mut open = self.gate.lock().unwrap();
         while !*open {
@@ -381,13 +380,11 @@ impl InferenceBackend for PanickingBackend {
     fn plan(&self) -> &PrecisionPlan {
         &self.plan
     }
-    fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch::empty()
-    }
     fn forward_one(
         &self,
-        _patches: &Tensor,
+        _patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         panic!("worker down (intentional, this test kills the pool)");
     }
@@ -444,14 +441,14 @@ fn forward_one_composes_to_batched_forward() {
     let batched = engine.forward(&patches, 5).expect("batched forward");
     let cfg = engine.vit_config();
     let (p, pd) = (cfg.num_patches(), cfg.patch_dim());
-    let mut scratch = engine.scratch();
+    let mut scratch = engine.make_scratch();
     let mut rows = Vec::new();
     for bi in 0..5 {
         let img = Tensor::from_vec(
             patches.data()[bi * p * pd..(bi + 1) * p * pd].to_vec(),
             &[p, pd],
         );
-        rows.extend(engine.forward_one(&img, &mut scratch).expect("forward_one"));
+        rows.extend(engine.forward_one(img, &mut scratch, &mut NoopObserver).expect("forward_one"));
     }
     let stacked = Tensor::from_vec(rows, &[5, cfg.classes]);
     assert_bit_identical(&stacked, &batched, "forward_one composition");
