@@ -51,7 +51,6 @@ struct Args {
     queue_depth: usize,
     conn_workers: usize,
     trace: bool,
-    bench_json: Option<String>,
 }
 
 const USAGE: &str = "\
@@ -80,9 +79,6 @@ options:
     --conn-workers N    server connection-handler threads (4)
     --trace             fetch /debug/trace after the storm and verify the
                         chrome://tracing export covers exactly the 200s
-    --bench-json PATH   merge a \"loadgen\" record (images/s, latency and
-                        queue-wait percentiles, shed counts) into the JSON
-                        object at PATH (e.g. BENCH_serve.json)
 ";
 
 fn parse_args() -> Result<Args, String> {
@@ -99,7 +95,6 @@ fn parse_args() -> Result<Args, String> {
         queue_depth: 2,
         conn_workers: 4,
         trace: false,
-        bench_json: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -138,7 +133,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => args.workers = parse(&value)?,
             "--queue-depth" => args.queue_depth = parse(&value)?,
             "--conn-workers" => args.conn_workers = parse(&value)?,
-            "--bench-json" => args.bench_json = Some(value),
             other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
         }
     }
@@ -302,34 +296,6 @@ fn run() -> Result<(), String> {
     }
     if let Some(json) = &trace_json {
         check_trace(json, ok, &mut failures);
-    }
-    if let Some(path) = &args.bench_json {
-        let obs = session
-            .runner()
-            .map_err(|e| format!("pool unavailable for bench record: {e}"))?
-            .obs();
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        let record = ascend_obs::BenchRecord::new("loadgen")
-            .num("images_per_s", report.throughput())
-            .num("p50_ms", ms(report.latency_percentile(50.0)))
-            .num("p95_ms", ms(report.latency_percentile(95.0)))
-            .num("p99_ms", ms(report.latency_percentile(99.0)))
-            .num("queue_wait_p50_ms", ms(obs.queue_wait().snapshot().percentile(50.0)))
-            .num("queue_wait_p95_ms", ms(obs.queue_wait().snapshot().percentile(95.0)))
-            .num("service_p50_ms", ms(obs.service().snapshot().percentile(50.0)))
-            .num("service_p95_ms", ms(obs.service().snapshot().percentile(95.0)))
-            .num("wall_s", wall.as_secs_f64())
-            .int("ok", ok)
-            .int("shed", shed)
-            .int("requests", args.requests as u64)
-            .int("connections", args.connections as u64)
-            .int("workers", args.workers as u64)
-            .int("images_per_request", args.images as u64)
-            .text("backend", session.backend().name());
-        record
-            .write_merged(std::path::Path::new(path))
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        eprintln!("loadgen: merged \"loadgen\" record into {path}");
     }
     if failures.is_empty() {
         eprintln!("loadgen: PASS");
@@ -519,50 +485,6 @@ fn run_registry(args: Args) -> Result<(), String> {
         ));
     }
 
-    if let Some(path) = &args.bench_json {
-        // Cold-load vs lazy shared-load on a throwaway registry: two
-        // names over one artifact, so the second acquire hits the
-        // weak-cache and shares the first's weights instead of reading
-        // the file again.
-        let artifact = &args.artifacts[0].1;
-        let probe = ModelRegistry::new(RegistryConfig::default());
-        for name in ["cold-probe", "shared-probe"] {
-            probe
-                .register(
-                    ModelSpec::artifact(name, artifact.as_str())
-                        .backend(args.backend)
-                        .serve(serve_cfg),
-                )
-                .map_err(|e| format!("bench probe register failed: {e}"))?;
-        }
-        let t0 = Instant::now();
-        probe.acquire("cold-probe").map_err(|e| format!("bench cold load failed: {e}"))?;
-        let cold = t0.elapsed();
-        let t1 = Instant::now();
-        probe.acquire("shared-probe").map_err(|e| format!("bench shared load failed: {e}"))?;
-        let shared = t1.elapsed();
-
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        let record = ascend_obs::BenchRecord::new("registry")
-            .num("cold_load_ms", ms(cold))
-            .num("shared_load_ms", ms(shared))
-            .num("images_per_s", report.throughput())
-            .num("p50_ms", ms(report.latency_percentile(50.0)))
-            .num("p95_ms", ms(report.latency_percentile(95.0)))
-            .num("wall_s", wall.as_secs_f64())
-            .int("ok", ok)
-            .int("shed", shed)
-            .int("model_loads", loads)
-            .int("evictions", evictions)
-            .int("models", args.artifacts.len() as u64)
-            .int("requests", args.requests as u64)
-            .int("budget_bytes", budget_bytes as u64);
-        record
-            .write_merged(std::path::Path::new(path))
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        eprintln!("loadgen: merged \"registry\" record into {path}");
-    }
-
     if failures.is_empty() {
         eprintln!("loadgen: PASS");
         Ok(())
@@ -574,7 +496,7 @@ fn run_registry(args: Args) -> Result<(), String> {
 /// One client thread: keep a connection alive, claim request slots off
 /// the shared counter (round-robin over `targets` by slot number), and
 /// tally every outcome. Reconnects when the server closes the connection
-/// (keep-alive cap, shed, or drain).
+/// (keep-alive cap, a waiting connection, shed, or drain).
 fn client_loop(
     addr: std::net::SocketAddr,
     total: usize,

@@ -24,9 +24,10 @@ impl ClientResponse {
         self.headers.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
     }
 
-    /// Whether the server announced it will close the connection.
+    /// Whether the server announced it will close the connection (a
+    /// `close` token in any `Connection` header).
     pub fn wants_close(&self) -> bool {
-        self.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        crate::http1::has_close_token(&self.headers)
     }
 }
 

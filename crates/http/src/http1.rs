@@ -43,11 +43,22 @@ impl Request {
     }
 
     /// Whether the client asked to drop the connection after this
-    /// exchange (`Connection: close`).
+    /// exchange: a `close` token in any `Connection` header.
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        has_close_token(&self.headers)
     }
+}
+
+/// Whether any `Connection` header carries the `close` option.
+/// `Connection` is a comma-separated token list that may also be split
+/// over repeated headers (RFC 9110 §7.6.1), so `keep-alive, close` and
+/// two separate headers both count; tokens are case-insensitive.
+pub(crate) fn has_close_token(headers: &[(String, String)]) -> bool {
+    headers
+        .iter()
+        .filter(|(name, _)| name == "connection")
+        .flat_map(|(_, value)| value.split(','))
+        .any(|token| token.trim().eq_ignore_ascii_case("close"))
 }
 
 /// Why a request could not be read. The connection loop maps each
@@ -352,6 +363,25 @@ mod tests {
             .expect("parses");
         assert_eq!(req.body, b"hello");
         assert!(!req.wants_close());
+    }
+
+    #[test]
+    fn close_is_a_token_in_a_connection_list() {
+        let req = parse(b"GET / HTTP/1.1\r\nconnection: keep-alive, CLOSE\r\n\r\n")
+            .expect("parses");
+        assert!(req.wants_close());
+        let req = parse(b"GET / HTTP/1.1\r\nconnection: keep-alive,closed\r\n\r\n")
+            .expect("parses");
+        assert!(!req.wants_close(), "`closed` is not the `close` token");
+    }
+
+    #[test]
+    fn close_counts_in_a_repeated_connection_header() {
+        let req = parse(
+            b"GET / HTTP/1.1\r\nConnection: keep-alive\r\nhost: x\r\nConnection: close\r\n\r\n",
+        )
+        .expect("parses");
+        assert!(req.wants_close());
     }
 
     #[test]

@@ -65,6 +65,9 @@ pub struct HttpConfig {
     /// Connection-handler threads. Each owns one connection at a time, so
     /// this is also the cap on concurrently served connections; accepted
     /// connections beyond the small hand-off backlog are shed with `503`.
+    /// While a connection waits in that backlog, each handler answers its
+    /// current request with `Connection: close` and frees itself, so a
+    /// keep-alive client cannot hold a handler another client waits for.
     pub conn_workers: usize,
     /// Maximum requests served over one keep-alive connection before the
     /// server closes it (`Connection: close` on the last response).

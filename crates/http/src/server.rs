@@ -3,17 +3,21 @@
 //! Threading model: one accept thread blocks in `accept` and hands each
 //! new socket to a small bounded channel, so a connection reaches a
 //! handler as soon as one is free; `conn_workers` handler threads each
-//! own one connection at a time and run its keep-alive loop. A handler
-//! waits at most `IDLE_TIMEOUT` (1 s) for the first byte of each request,
-//! so silent sockets cannot hold every handler for the whole read
-//! deadline. The `ascend_http_handlers_busy` and
-//! `ascend_http_conn_backlog` gauges show handler occupancy and the
-//! hand-off backlog live. Inference admission inside a handler is strictly
-//! non-blocking ([`ServePool::try_submit`]): a full work queue answers
-//! `503 Retry-After` immediately, so a traffic burst can never wedge the
-//! socket threads behind a blocking submit — the bugfix this crate is
-//! built around. When every handler is busy and the hand-off backlog is
-//! full, whole connections are shed with `503` the same way.
+//! own one connection at a time and run its keep-alive loop. While a
+//! connection waits in the hand-off backlog, every handler closes its
+//! connection after the response in progress, so keep-alive cannot hold
+//! a handler against waiting clients. A handler waits at most
+//! `IDLE_TIMEOUT` (1 s) for the first byte of each request, so silent
+//! sockets cannot hold every handler for the whole read deadline. The
+//! `ascend_http_handlers_busy` and `ascend_http_conn_backlog` gauges show
+//! handler occupancy and the hand-off backlog live. Inference admission
+//! inside a handler is strictly non-blocking ([`ServePool::try_submit`]):
+//! a full work queue answers `503 Retry-After` immediately, so a traffic
+//! burst can never wedge the socket threads behind a blocking submit —
+//! the bugfix this crate is built around. When every handler is busy and
+//! the hand-off backlog is full, whole connections are shed with `503`
+//! the same way; the shed socket is half-closed and drained briefly, so
+//! the client's unread request cannot reset the `503` away.
 //!
 //! Shutdown is graceful: [`ShutdownHandle::shutdown`] sets the stop flag
 //! and wakes the blocked `accept` with a connection to the listener's
@@ -25,8 +29,8 @@
 //!
 //! [`ServePool::try_submit`]: ascend::ServePool::try_submit
 
-use std::io::{BufRead, BufReader};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -53,6 +57,12 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Bound on one wake-up connect; drain retries a wake that fails.
 const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Read deadline while a shed connection's input is discarded, and the
+/// most reads spent on it: the accept thread lingers at most their
+/// product on one shed socket (the usual cost is one round trip).
+const SHED_LINGER: Duration = Duration::from_millis(20);
+const SHED_LINGER_READS: usize = 8;
 
 /// How long drain waits for the accept thread before waking it again.
 const WAKE_RETRY: Duration = Duration::from_millis(2);
@@ -323,11 +333,26 @@ fn accept_loop(
 }
 
 /// Best-effort `503` on a connection there is no handler capacity for.
+/// The close lingers: dropping a socket whose request is still unread
+/// makes the kernel reset the connection, and the reset can destroy the
+/// `503` before the client reads it. So the server half-closes, then
+/// discards input until the client closes, bounded by [`SHED_LINGER`].
 fn shed_connection(mut stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout));
     let response = Response::text(503, "server at connection capacity; retry later")
         .with_header("retry-after", "1");
-    let _ = response.write_to(&mut stream, true);
+    if response.write_to(&mut stream, true).is_err()
+        || stream.shutdown(Shutdown::Write).is_err()
+        || stream.set_read_timeout(Some(SHED_LINGER)).is_err()
+    {
+        return;
+    }
+    let mut discard = [0u8; 4096];
+    for _ in 0..SHED_LINGER_READS {
+        if !matches!(stream.read(&mut discard), Ok(n) if n > 0) {
+            break;
+        }
+    }
 }
 
 /// A connection-handler thread: pull sockets until the channel closes.
@@ -399,9 +424,13 @@ fn handle_connection(
         let last = served + 1 == cfg.keep_alive_requests;
         let (response, served_infer) = route(&request, target, metrics);
         // Decide keep-alive AFTER serving: a shutdown that lands while
-        // this request was in flight must close (and announce it) now.
-        let close =
-            last || request.wants_close() || stop.load(Ordering::SeqCst);
+        // this request was in flight must close (and announce it) now,
+        // and so must a handler that a backlogged connection waits for,
+        // or one keep-alive client could hold it indefinitely.
+        let close = last
+            || request.wants_close()
+            || stop.load(Ordering::SeqCst)
+            || metrics.conn_backlog.get() > 0;
         match served_infer {
             Some((timing, images)) => metrics.record_served(timing, images),
             None => metrics.record_status(response.status),

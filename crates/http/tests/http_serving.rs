@@ -8,7 +8,7 @@
 //! handlers, and shutdown wakes the blocking accept and closes the
 //! listener on every address family.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -542,6 +542,83 @@ fn connection_tier_gauges_show_busy_handlers_and_backlog() {
     client::write_request(&mut writer_c, "GET", "/healthz", &[], true).expect("write C");
     assert_eq!(client::read_response(&mut reader_c).expect("C").status, 200);
     assert_eq!(server.metrics().conn_backlog.get(), 0);
+    server.join();
+}
+
+#[test]
+fn a_backlogged_connection_makes_keep_alive_close_after_the_current_response() {
+    let mut cfg = HttpConfig::new("127.0.0.1:0");
+    cfg.conn_workers = 1;
+    let (server, _backend, _session) = gated_server(true, 4, cfg);
+    let addr = server.local_addr();
+
+    // A holds the only handler on a keep-alive connection.
+    let (mut reader_a, mut writer_a) = connect(addr);
+    client::write_request(&mut writer_a, "GET", "/healthz", &[], false).expect("write A1");
+    let first = client::read_response(&mut reader_a).expect("A1");
+    assert_eq!(first.status, 200);
+    assert!(!first.wants_close(), "nobody waits yet: A stays open");
+
+    // B waits in the hand-off backlog for that handler.
+    let (mut reader_b, mut writer_b) = connect(addr);
+    wait_until("B in the backlog", Duration::from_secs(5), || {
+        server.metrics().conn_backlog.get() == 1
+    });
+
+    // A's next response frees the handler for B.
+    client::write_request(&mut writer_a, "GET", "/healthz", &[], false).expect("write A2");
+    let second = client::read_response(&mut reader_a).expect("A2");
+    assert_eq!(second.status, 200);
+    assert!(second.wants_close(), "a waiting connection must end A's keep-alive");
+    client::write_request(&mut writer_b, "GET", "/healthz", &[], true).expect("write B");
+    assert_eq!(client::read_response(&mut reader_b).expect("B").status, 200);
+    server.join();
+}
+
+#[test]
+fn a_connection_shed_at_capacity_reads_its_503_after_sending_a_request() {
+    let mut cfg = HttpConfig::new("127.0.0.1:0");
+    cfg.conn_workers = 1;
+    let (server, backend, session) = gated_server(false, 4, cfg);
+    let addr = server.local_addr();
+    let pool = session.runner().expect("pool");
+
+    // A holds the only handler mid-service; B fills the one-slot backlog.
+    let (mut reader_a, mut writer_a) = connect(addr);
+    client::write_request(&mut writer_a, "POST", "/v1/infer", &gated_payload(1.0), false)
+        .expect("write A");
+    wait_until("A in flight", Duration::from_secs(5), || pool.in_flight() == 1);
+    let (_reader_b, _writer_b) = connect(addr);
+    wait_until("B in the backlog", Duration::from_secs(5), || {
+        server.metrics().conn_backlog.get() == 1
+    });
+
+    // C is shed at accept. It sends a whole request before reading; the
+    // unread request must neither reset the 503 away nor turn the close
+    // into a reset. The gate opens before any assert, so a failure
+    // cannot leave the pool worker blocked in a drain.
+    let sheds: Vec<_> = (0..20)
+        .map(|_| {
+            let (mut reader_c, mut writer_c) = connect(addr);
+            let _ = client::write_request(
+                &mut writer_c,
+                "POST",
+                "/v1/infer",
+                &gated_payload(3.0),
+                false,
+            );
+            let shed = client::read_response(&mut reader_c)
+                .map(|r| (r.status, r.header("retry-after").map(str::to_owned), r.wants_close()));
+            (shed, reader_c.read_to_end(&mut Vec::new()).map_err(|e| e.kind()))
+        })
+        .collect();
+    backend.open();
+    assert_eq!(client::read_response(&mut reader_a).expect("A").status, 200);
+    for (i, (shed, end)) in sheds.into_iter().enumerate() {
+        let (status, retry_after, close) = shed.expect("shed response");
+        assert_eq!((status, retry_after.as_deref(), close), (503, Some("1"), true), "attempt {i}");
+        assert!(end.is_ok(), "attempt {i}: the shed must end in a close, not {end:?}");
+    }
     server.join();
 }
 

@@ -21,9 +21,6 @@
 //!   attention, softmax, GELU, MLP, head) without ever reading a clock;
 //!   the [`StageTimer`] implementation here is the sanctioned place where
 //!   those events become durations.
-//! - [`bench_json`] — the `BENCH_serve.json` perf-trajectory writer shared
-//!   by loadgen and the throughput bench: each tool merges its own record
-//!   into the file without clobbering the others.
 //!
 //! The crate is std-only, dependency-free, `#![forbid(unsafe_code)]`, and
 //! held to the hot-path (panic-free) lint class: a metrics update must never
@@ -32,12 +29,10 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![warn(missing_docs)]
 
-pub mod bench_json;
 pub mod metrics;
 pub mod stage;
 pub mod trace;
 
-pub use bench_json::BenchRecord;
 pub use metrics::{Counter, Gauge, HistSnapshot, Histogram, Registry, HIST_BUCKETS};
 pub use stage::{NoopObserver, Stage, StageObserver, StageTimer};
 pub use trace::{Span, TraceBuffer, TraceId};
