@@ -27,6 +27,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
+#[path = "../../../tests/support.rs"]
+#[expect(dead_code, reason = "the bench serves through the pool and checks no logits")]
+mod support;
+use support::serve_per_image;
+
 fn bench_throughput(c: &mut Criterion) {
     // Checkpoint-cached fixture: 1 FP epoch, calibrate, no QAT — bench
     // runs reuse the trained model instead of paying training on every
@@ -49,30 +54,30 @@ fn bench_throughput(c: &mut Criterion) {
     for workers in [1usize, 2, 4] {
         let pool = ServePool::new(
             Arc::clone(&engine),
-            ServeConfig { workers, micro_batch: 4, queue_depth: 0 },
+            ServeConfig { workers, queue_depth: 0 },
         )
         .expect("pool builds");
         c.bench_function(&format!("serve_pool_w{workers}_batch32"), |b| {
-            b.iter(|| black_box(pool.run_batch(black_box(&patches), n).expect("run_batch")))
+            b.iter(|| black_box(serve_per_image(&pool, black_box(&patches)).expect("serve")))
         });
     }
 
     // Pool reuse vs spawn-per-call, on a small-request workload where the
-    // per-call thread churn is proportionally largest: a 4-image call
-    // carved into single-image requests, the shape of interactive traffic.
+    // per-call thread churn is proportionally largest: four single-image
+    // requests, the shape of interactive traffic.
     let tiny_n = 4usize;
     let tiny = test.patches(&(0..tiny_n).collect::<Vec<_>>(), 4);
-    let small = ServeConfig { workers: 4, micro_batch: 1, queue_depth: 8 };
+    let small = ServeConfig { workers: 4, queue_depth: 8 };
     let reused = ServePool::new(Arc::clone(&engine), small).expect("pool builds");
     c.bench_function("serve_pool_reuse_tiny_requests", |b| {
-        b.iter(|| black_box(reused.run_batch(black_box(&tiny), tiny_n).expect("run_batch")))
+        b.iter(|| black_box(serve_per_image(&reused, black_box(&tiny)).expect("serve")))
     });
     c.bench_function("serve_pool_spawn_per_call_tiny_requests", |b| {
         b.iter(|| {
             // The anti-pattern the persistent pool replaces: spawn the
             // workers, serve once, join them — every single call.
             let pool = ServePool::new(Arc::clone(&engine), small).expect("pool builds");
-            let out = black_box(pool.run_batch(black_box(&tiny), tiny_n).expect("run_batch"));
+            let out = black_box(serve_per_image(&pool, black_box(&tiny)).expect("serve"));
             pool.shutdown();
             out
         })

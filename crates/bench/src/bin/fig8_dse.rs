@@ -54,7 +54,7 @@ fn main() {
     // Evaluate in parallel on the workspace's shared parallel-map primitive;
     // small chunks keep the workers load-balanced across the ragged
     // per-design evaluation times.
-    let threads = ServeConfig::auto().resolved_workers();
+    let threads = ServeConfig::default().resolved().workers;
     let results = parallel_map(threads, 64, &grid, |_, cfg| evaluate(&lib, *cfg));
 
     let feasible: Vec<(IterSoftmaxConfig, f64, f64)> =

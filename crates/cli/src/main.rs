@@ -19,10 +19,12 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::disallowed_methods)]
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::serve::ServeRequest;
 use ascend::{BackendKind, Session};
+use ascend_tensor::Tensor;
 use ascend_io::format::Artifact;
 use ascend_io::ModelCheckpoint;
 use ascend_vit::data::synth_cifar;
@@ -53,11 +55,12 @@ SUBCOMMANDS:
     serve    Run the persistent serving pool on a saved artifact
              --engine PATH (required; engine artifact, or checkpoint)
              --backend sc|ref (sc)  --requests 8  --images 4
-             --workers 0 (auto)  --queue-depth 2
+             --workers 0 (auto)  --queue-depth 2 (0 = 4 × workers)
              --rounds 1 (repeated rounds reuse one worker pool)
              --data-seed 7
              With --listen ADDR:PORT, serve over HTTP/1.1 instead of the
-             built-in smoke traffic (port 0 picks a free port):
+             built-in smoke traffic (port 0 picks a free port; there
+             --queue-depth defaults to 0, i.e. 4 × workers):
              --listen 127.0.0.1:8080  --conn-workers 4
              --keep-alive-requests 1024
              --port-file PATH (write the bound address for scripts)
@@ -432,48 +435,67 @@ fn cmd_serve(flags: Flags) -> Result<(), CliError> {
         "serving on the `{}` backend — persistent pool of {} workers, queue depth {}",
         session.backend().name(),
         pool.workers(),
-        if queue_depth == 0 { "unbounded".to_string() } else { queue_depth.to_string() },
+        pool.queue_capacity(),
     );
-    let mut outcome = pool.run(&reqs)?;
-    println!("round 1/{rounds}: {}", outcome.report.summary());
-    for round in 2..=rounds {
-        let again = pool.run(&reqs)?;
-        println!("round {round}/{rounds}: {}", again.report.summary());
+    let mut first: Vec<Tensor> = Vec::new();
+    for round in 1..=rounds {
+        #[expect(clippy::disallowed_methods, reason = "per-round images/s for the printout; never reaches the logits")]
+        let started = Instant::now();
+        // Submit every request, then collect in order: the workers drain
+        // the queue while later submits wait for a slot.
+        let handles =
+            reqs.iter().map(|r| pool.submit(r.clone())).collect::<Result<Vec<_>, _>>()?;
+        let logits = handles
+            .into_iter()
+            .map(|h| h.collect().map(|(t, _)| t))
+            .collect::<Result<Vec<_>, _>>()?;
+        let wall = started.elapsed().as_secs_f64();
+        println!(
+            "round {round}/{rounds}: {n} images / {requests} requests in {:.1} ms — {:.1} images/s",
+            wall * 1e3,
+            n as f64 / wall,
+        );
         // Pool reuse must be invisible to the numerics: every round's
         // logits match round 1 bit for bit.
-        let stable = outcome.logits.iter().zip(again.logits.iter()).all(|(a, b)| {
-            a.data().iter().zip(b.data().iter()).all(|(x, y)| x.to_bits() == y.to_bits())
-        });
-        if !stable {
+        if round == 1 {
+            first = logits;
+        } else if !bit_identical(&first, &logits) {
             return Err(CliError::Runtime(format!(
                 "round {round} diverged from round 1 on the reused pool"
             )));
         }
-        outcome.report = again.report;
     }
+    let (service, queue_wait) = (pool.obs().service().snapshot(), pool.obs().queue_wait().snapshot());
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     println!(
-        "request latencies: p50 {:.2} ms | p95 {:.2} ms | max {:.2} ms",
-        outcome.report.latency_percentile(50.0).as_secs_f64() * 1e3,
-        outcome.report.latency_percentile(95.0).as_secs_f64() * 1e3,
-        outcome.report.latency_percentile(100.0).as_secs_f64() * 1e3,
+        "pool histograms (log2-bucket upper bounds): service p50 {:.2} ms | p95 {:.2} ms; \
+         queue wait p50 {:.2} ms | p95 {:.2} ms",
+        ms(service.percentile(50.0)),
+        ms(service.percentile(95.0)),
+        ms(queue_wait.percentile(50.0)),
+        ms(queue_wait.percentile(95.0)),
     );
 
     // Serving is only trustworthy if parallel == serial, bit for bit —
     // for every backend, not just the SC engine.
-    let mut identical = true;
-    for (req, got) in reqs.iter().zip(outcome.logits.iter()) {
-        let want = session.forward(&req.patches, req.images)?;
-        identical &= want
-            .data()
-            .iter()
-            .zip(got.data().iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    }
+    let serial = reqs
+        .iter()
+        .map(|req| session.forward(&req.patches, req.images))
+        .collect::<Result<Vec<_>, _>>()?;
+    let identical = bit_identical(&serial, &first);
     println!("bit-identical to serial forward: {identical}");
     if !identical {
         return Err(CliError::Runtime("parallel serving diverged from serial logits".into()));
     }
     Ok(())
+}
+
+/// Whether two lists of logit tensors are equal to the last bit.
+fn bit_identical(a: &[Tensor], b: &[Tensor]) -> bool {
+    let bits = |ts: &[Tensor]| {
+        ts.iter().flat_map(|t| t.data().iter().map(|x| x.to_bits())).collect::<Vec<_>>()
+    };
+    bits(a) == bits(b)
 }
 
 /// `serve --listen ADDR:PORT`: the HTTP/1.1 front-end over the session's
@@ -494,26 +516,21 @@ fn cmd_serve_http(flags: Flags) -> Result<(), CliError> {
     let backend = parse_backend(&flags)?;
     let listen = flags.require("listen")?.to_string();
     let workers: usize = flags.get_parsed("workers", 0)?;
-    // Absent --queue-depth keeps the session's bounded default
-    // (4 × workers); `--queue-depth 0` is the explicit unbounded opt-in.
-    let queue_depth: Option<usize> = match flags.get("queue-depth") {
-        None => None,
-        Some(_) => Some(flags.get_parsed("queue-depth", 0)?),
-    };
+    let queue_depth: usize = flags.get_parsed("queue-depth", 0)?;
     let conn_workers: usize = flags.get_parsed("conn-workers", 4)?;
     let keep_alive_requests: usize = flags.get_parsed("keep-alive-requests", 1024)?;
     let port_file = flags.get("port-file").map(PathBuf::from);
     let duration_secs: u64 = flags.get_parsed("duration-secs", 0)?;
     flags.reject_unknown()?;
 
-    let mut builder = Session::builder()
-        .artifact(&engine_path)
-        .backend(backend)
-        .workers(workers);
-    if let Some(depth) = queue_depth {
-        builder = builder.queue_depth(depth);
-    }
-    let session = std::sync::Arc::new(builder.build()?);
+    let session = std::sync::Arc::new(
+        Session::builder()
+            .artifact(&engine_path)
+            .backend(backend)
+            .workers(workers)
+            .queue_depth(queue_depth)
+            .build()?,
+    );
 
     let mut http = HttpConfig::new(listen);
     http.conn_workers = conn_workers;
@@ -526,11 +543,7 @@ fn cmd_serve_http(flags: Flags) -> Result<(), CliError> {
          ({} pool workers, queue depth {}, {} connection handlers)",
         session.backend().name(),
         pool.workers(),
-        if pool.queue_capacity() == 0 {
-            "unbounded".to_string()
-        } else {
-            pool.queue_capacity().to_string()
-        },
+        pool.queue_capacity(),
         conn_workers,
     );
     run_http_server(server, port_file, duration_secs)
@@ -566,10 +579,7 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
     let backend = parse_backend(&flags)?;
     let listen = flags.require("listen")?.to_string();
     let workers: usize = flags.get_parsed("workers", 0)?;
-    let queue_depth: Option<usize> = match flags.get("queue-depth") {
-        None => None,
-        Some(_) => Some(flags.get_parsed("queue-depth", 0)?),
-    };
+    let queue_depth: usize = flags.get_parsed("queue-depth", 0)?;
     let conn_workers: usize = flags.get_parsed("conn-workers", 4)?;
     let keep_alive_requests: usize = flags.get_parsed("keep-alive-requests", 1024)?;
     let port_file = flags.get("port-file").map(PathBuf::from);
@@ -577,12 +587,7 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
     let memory_budget_mb: usize = flags.get_parsed("memory-budget-mb", 0)?;
     flags.reject_unknown()?;
 
-    // Same bounded default as the single-model path: 4 × resolved workers.
-    let base = ascend::serve::ServeConfig { workers, queue_depth: 0, ..Default::default() };
-    let serve = ascend::serve::ServeConfig {
-        queue_depth: queue_depth.unwrap_or(4 * base.resolved_workers()),
-        ..base
-    };
+    let serve = ascend::serve::ServeConfig { workers, queue_depth };
     let registry = std::sync::Arc::new(ModelRegistry::new(RegistryConfig {
         memory_budget_bytes: memory_budget_mb.saturating_mul(1024 * 1024),
         ..Default::default()

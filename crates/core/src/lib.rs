@@ -23,10 +23,10 @@
 //! * [`accelerator`] — the **accelerator area model** (Table VI): the
 //!   compute arrays plus `k` parallel softmax blocks, costed with
 //!   [`sc_hw`]'s analytic synthesis model.
-//! * [`serve`] — the **parallel batched serving runtime**: a
-//!   persistent [`serve::ServePool`] shards a request queue across
-//!   long-lived workers sharing the immutable compiled engine, bit-for-bit
-//!   identical to the serial path.
+//! * [`serve`] — the **parallel serving runtime**: a persistent
+//!   [`serve::ServePool`] feeds submitted requests through one bounded
+//!   queue to long-lived workers sharing the immutable compiled engine,
+//!   bit-for-bit identical to the serial path.
 //! * [`artifact`] — **persisted engine snapshots**: `ScEngine::save` /
 //!   `ScEngine::load` / `ScEngine::compile_from_checkpoint` over the
 //!   [`ascend_io`] container, so serving processes start from artifact
@@ -80,8 +80,5 @@ pub use backend::{FaultInjectingBackend, InferenceBackend, RefEngine};
 pub use engine::{EngineConfig, ForwardScratch, ScEngine};
 pub use instrument::{InstrumentedBackend, StageStats};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineReport};
-pub use serve::{
-    JobTiming, PoolObs, ServeConfig, ServeHandle, ServeOutcome, ServePool, ServeReport,
-    ServeRequest,
-};
+pub use serve::{JobTiming, PoolObs, ServeConfig, ServeHandle, ServePool, ServeRequest};
 pub use session::{load_backend, BackendKind, Session, SessionBuilder};

@@ -9,13 +9,15 @@
 //! ```no_run
 //! use ascend::{BackendKind, Session};
 //! # fn demo(patches: &ascend_tensor::Tensor) -> Result<(), sc_core::ScError> {
+//! use ascend::serve::ServeRequest;
 //! let session = Session::builder()
 //!     .artifact("model.ckpt")       // checkpoint or compiled engine artifact
 //!     .backend(BackendKind::Sc)     // or BackendKind::Ref for the float oracle
 //!     .workers(0)                   // 0 = auto
 //!     .build()?;
-//! let (logits, report) = session.serve_batch(patches, 64)?;
-//! println!("{} served: {}", session.backend().name(), report.summary());
+//! let pool = session.runner()?;     // the session's one persistent pool
+//! let (logits, timing) = pool.submit(ServeRequest::new(patches.clone(), 1))?.collect()?;
+//! println!("{} served {:?} in {:?}", session.backend().name(), logits.shape(), timing.total());
 //! # Ok(()) }
 //! ```
 //!
@@ -25,12 +27,11 @@
 //! while a **compiled engine artifact** loads the SC backend directly and
 //! is rejected for the reference backend, which needs the model itself.
 //!
-//! Serving defaults are production-lean: unless
-//! [`SessionBuilder::queue_depth`] says otherwise, the admission queue is
-//! **bounded** at `4 × workers` so a traffic burst backpressures (or is
-//! shed via [`ServePool::try_submit`]) instead of growing the queue until
-//! the process dies. An unbounded queue is an explicit `.queue_depth(0)`
-//! opt-in.
+//! The admission queue is always bounded: unless
+//! [`SessionBuilder::queue_depth`] says otherwise it holds `4 × workers`
+//! requests (see [`ServeConfig::resolved`]), so a traffic burst
+//! backpressures (or is shed via [`ServePool::try_submit`]) instead of
+//! growing the queue until the process dies.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -45,7 +46,7 @@ use sc_core::ScError;
 use crate::backend::{FaultInjectingBackend, InferenceBackend, RefEngine};
 use crate::engine::{EngineConfig, ScEngine};
 use crate::instrument::{InstrumentedBackend, StageStats};
-use crate::serve::{ServeConfig, ServePool, ServeReport};
+use crate::serve::{ServeConfig, ServePool};
 
 /// Which implementation of [`InferenceBackend`] a [`Session`] executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,11 +105,6 @@ pub struct SessionBuilder {
     kind: BackendKind,
     engine_config: EngineConfig,
     serve: ServeConfig,
-    /// `None` until [`SessionBuilder::queue_depth`] is called; resolved to
-    /// a **bounded** default (`4 × workers`) at build time. An unbounded
-    /// queue is an explicit opt-in via `.queue_depth(0)` — never a
-    /// default a network-facing session can stumble into.
-    queue_depth: Option<usize>,
     fault: Option<(f64, u64)>,
     instrument: Option<Arc<StageStats>>,
 }
@@ -119,8 +115,7 @@ impl SessionBuilder {
             source: None,
             kind: BackendKind::Sc,
             engine_config: EngineConfig::default(),
-            serve: ServeConfig::auto(),
-            queue_depth: None,
+            serve: ServeConfig::default(),
             fault: None,
             instrument: None,
         }
@@ -169,21 +164,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Images per serving work unit (see [`ServeConfig::micro_batch`]).
-    pub fn micro_batch(mut self, micro_batch: usize) -> Self {
-        self.serve.micro_batch = micro_batch;
-        self
-    }
-
-    /// Bounded admission-queue depth. Unset, the session defaults to a
-    /// **bounded** queue of `4 × workers` — a full queue then blocks
-    /// [`ServePool::submit`] or sheds on [`ServePool::try_submit`] rather
-    /// than growing without limit. Passing `0` explicitly opts into an
-    /// unbounded queue (see [`ServeConfig::queue_depth`]); that is an OOM
-    /// footgun for any network-facing pool, which is exactly why it
-    /// cannot happen by default.
+    /// Admission-queue depth in requests; `0` (the default) means
+    /// `4 × workers` (see [`ServeConfig::queue_depth`]). A full queue
+    /// blocks [`ServePool::submit`] or sheds on [`ServePool::try_submit`].
     pub fn queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = Some(queue_depth);
+        self.serve.queue_depth = queue_depth;
         self
     }
 
@@ -211,8 +196,8 @@ impl SessionBuilder {
     ///
     /// # Errors
     ///
-    /// [`ScError::InvalidParam`] if no source was given, the serving config
-    /// is malformed, the fault rate is out of range, compilation rejects
+    /// [`ScError::InvalidParam`] if no source was given, the fault rate is
+    /// out of range, compilation rejects
     /// the model, or the requested backend cannot be built from the given
     /// source (the reference backend needs a checkpoint, not a compiled
     /// engine artifact); [`ScError::Io`] / [`ScError::CorruptArtifact`]
@@ -223,20 +208,8 @@ impl SessionBuilder {
             reason: "Session::builder() needs .artifact(path), .checkpoint(..), or .engine(..)"
                 .into(),
         })?;
-        // Resolve the admission queue: bounded by default. `4 × workers`
-        // keeps every worker busy with headroom while capping the memory
-        // a burst can pin; only an explicit `.queue_depth(0)` opts out.
-        let mut serve = self.serve;
-        serve.queue_depth =
-            self.queue_depth.unwrap_or_else(|| 4 * serve.resolved_workers());
-        // Validate the serving shape and fault parameters up front — a bad
-        // knob must fail before the expensive load/compile, not after.
-        if serve.micro_batch == 0 {
-            return Err(ScError::InvalidParam {
-                name: "micro_batch",
-                reason: "micro-batch size must be at least 1".into(),
-            });
-        }
+        // Validate the fault parameters up front — a bad knob must fail
+        // before the expensive load/compile, not after.
         if let Some((rate, _)) = self.fault {
             if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
                 return Err(ScError::InvalidParam {
@@ -272,7 +245,7 @@ impl SessionBuilder {
             None => backend,
             Some(s) => Box::new(InstrumentedBackend::with_stats(backend, Arc::clone(s))),
         };
-        Ok(Session { backend: Arc::from(backend), serve, pool: OnceLock::new(), stats })
+        Ok(Session { backend: Arc::from(backend), serve: self.serve, pool: OnceLock::new(), stats })
     }
 
     fn compile(
@@ -351,37 +324,17 @@ impl Session {
     }
 
     /// Wraps an already-constructed backend — shared, so the caller keeps
-    /// its own handle — as a session with the given serving configuration,
-    /// exactly as `serve` says (no bounded-queue defaulting: embedders
-    /// and tests state the queue shape they mean). This is the embedding
-    /// hook the HTTP front-end's tests use to drive the serving stack
-    /// with controllable (gated, panicking) backends.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::InvalidParam`] if `serve.micro_batch` is zero.
-    pub fn from_shared_backend(
-        backend: Arc<dyn InferenceBackend>,
-        serve: ServeConfig,
-    ) -> Result<Session, ScError> {
-        if serve.micro_batch == 0 {
-            return Err(ScError::InvalidParam {
-                name: "micro_batch",
-                reason: "micro-batch size must be at least 1".into(),
-            });
-        }
-        Ok(Session { backend, serve, pool: OnceLock::new(), stats: None })
+    /// its own handle — as a session with the given serving configuration.
+    /// This is the embedding hook the HTTP front-end's tests use to drive
+    /// the serving stack with controllable (gated, panicking) backends.
+    pub fn from_shared_backend(backend: Arc<dyn InferenceBackend>, serve: ServeConfig) -> Session {
+        Session { backend, serve, pool: OnceLock::new(), stats: None }
     }
 
     /// The session's backend, as the trait object every consumer codes
     /// against.
     pub fn backend(&self) -> &dyn InferenceBackend {
         &*self.backend
-    }
-
-    /// The serving configuration the session was built with.
-    pub fn serve_config(&self) -> &ServeConfig {
-        &self.serve
     }
 
     /// The per-stage profiling stats, if the session was built with
@@ -391,15 +344,13 @@ impl Session {
     }
 
     /// The session's persistent [`ServePool`], spawned on first use and
-    /// shared by every subsequent serving call ([`Session::serve_batch`]
-    /// included) — the worker threads live for the whole session. Use
-    /// [`ServePool::submit`] on the returned pool for streaming serving;
-    /// dropping the session shuts the pool down gracefully.
+    /// shared by every later call — the worker threads live for the whole
+    /// session. Serve through [`ServePool::submit`] or
+    /// [`ServePool::try_submit`] on the returned pool; dropping the
+    /// session shuts the pool down gracefully.
     ///
     /// # Errors
     ///
-    /// [`ScError::InvalidParam`] for a malformed serving configuration
-    /// (also rejected earlier, at [`SessionBuilder::build`]), or
     /// [`ScError::Io`] if the OS refuses to spawn a worker thread.
     pub fn runner(&self) -> Result<&ServePool<dyn InferenceBackend>, ScError> {
         if let Some(pool) = self.pool.get() {
@@ -434,22 +385,6 @@ impl Session {
     ) -> Result<f32, ScError> {
         self.backend().accuracy(data, batch)
     }
-
-    /// Serves one large batch through the session's persistent pool,
-    /// returning `[images, classes]` logits in input order plus the
-    /// serving report; see [`ServePool::run_batch`]. Repeated calls reuse
-    /// the same long-lived workers.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServePool::run_batch`].
-    pub fn serve_batch(
-        &self,
-        patches: &Tensor,
-        images: usize,
-    ) -> Result<(Tensor, ServeReport), ScError> {
-        self.runner()?.run_batch(patches, images)
-    }
 }
 
 #[cfg(test)]
@@ -471,17 +406,6 @@ mod tests {
     fn builder_without_a_source_is_rejected() {
         let err = Session::builder().build().map(|_| ()).unwrap_err();
         assert!(matches!(err, ScError::InvalidParam { name: "source", .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn builder_rejects_zero_micro_batch_up_front() {
-        let err = Session::builder()
-            .artifact("/nonexistent.ckpt")
-            .micro_batch(0)
-            .build()
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, ScError::InvalidParam { name: "micro_batch", .. }), "got {err:?}");
     }
 
     #[test]
@@ -530,24 +454,27 @@ mod tests {
 
     #[test]
     fn builder_defaults_to_a_bounded_queue_scaled_to_workers() {
-        let session = Session::builder()
-            .engine(unit_engine())
-            .workers(2)
-            .build()
-            .expect("session builds");
+        let session =
+            Session::builder().engine(unit_engine()).workers(2).build().expect("session builds");
         // The production-lean default: 4 slots per worker, not unbounded.
-        assert_eq!(session.runner().expect("pool").queue_capacity(), 8);
+        let pool = session.runner().expect("pool");
+        assert_eq!(pool.queue_capacity(), 8);
+        assert_eq!(*pool.config(), ServeConfig { workers: 2, queue_depth: 8 });
     }
 
     #[test]
-    fn explicit_zero_queue_depth_opts_back_into_unbounded() {
+    fn explicit_zero_queue_depth_resolves_to_the_bounded_default() {
+        // An explicit 0 is the same default as leaving the depth unset:
+        // 4 slots per worker, never unbounded.
         let session = Session::builder()
             .engine(unit_engine())
             .workers(2)
             .queue_depth(0)
             .build()
             .expect("session builds");
-        assert_eq!(session.runner().expect("pool").queue_capacity(), 0);
+        let pool = session.runner().expect("pool");
+        assert_eq!(pool.queue_capacity(), 8);
+        assert_eq!(*pool.config(), ServeConfig { workers: 2, queue_depth: 8 });
     }
 
     #[test]
@@ -555,18 +482,14 @@ mod tests {
         let backend: Arc<dyn InferenceBackend> = Arc::new(unit_engine());
         let session = Session::from_shared_backend(
             Arc::clone(&backend),
-            ServeConfig { workers: 1, micro_batch: 4, queue_depth: 3 },
-        )
-        .expect("session builds");
-        // No defaulting on this path: the embedder's config is law.
+            ServeConfig { workers: 1, queue_depth: 3 },
+        );
+        // An explicit depth is served as given.
         assert_eq!(session.runner().expect("pool").queue_capacity(), 3);
-        let err = Session::from_shared_backend(
-            backend,
-            ServeConfig { workers: 1, micro_batch: 0, queue_depth: 3 },
-        )
-        .map(|_| ())
-        .unwrap_err();
-        assert!(matches!(err, ScError::InvalidParam { name: "micro_batch", .. }), "got {err:?}");
+        // A zero depth gets the same bounded default as the builder's.
+        let session =
+            Session::from_shared_backend(backend, ServeConfig { workers: 1, queue_depth: 0 });
+        assert_eq!(session.runner().expect("pool").queue_capacity(), 4);
     }
 
     #[test]

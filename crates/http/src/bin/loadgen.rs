@@ -29,9 +29,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ascend::serve::ServeReport;
 use ascend::{BackendKind, Session};
 use ascend_http::{client, HttpConfig, HttpServer};
+use ascend_obs::Histogram;
 
 struct Args {
     engine: String,
@@ -223,7 +223,7 @@ fn run() -> Result<(), String> {
 
     let tally = Arc::new(Tally::default());
     let next = Arc::new(AtomicUsize::new(0));
-    let latencies = Arc::new(std::sync::Mutex::new(Vec::with_capacity(args.requests)));
+    let latencies = Arc::new(Histogram::new());
     let started = Instant::now();
 
     let mut clients = Vec::with_capacity(args.connections);
@@ -233,7 +233,7 @@ fn run() -> Result<(), String> {
         let targets = Arc::clone(&targets);
         let latencies = Arc::clone(&latencies);
         clients.push(std::thread::spawn(move || {
-            client_loop(addr, args.requests, &next, &targets, &tally, &latencies);
+            client_loop(addr, args.requests, &next, &targets, &tally, Some(&latencies));
         }));
     }
     for c in clients {
@@ -251,19 +251,15 @@ fn run() -> Result<(), String> {
 
     let ok = tally.ok.load(Ordering::Relaxed);
     let shed = tally.shed.load(Ordering::Relaxed);
-    let lat = {
-        let mut guard = latencies.lock().map_err(|_| "latency lock poisoned".to_string())?;
-        std::mem::take(&mut *guard)
-    };
-    let report = ServeReport::from_parts(lat, wall, ok as usize * args.images, args.workers);
+    let latency = latencies.snapshot();
     eprintln!(
         "loadgen: {} requests in {:.2}s — {ok} ok, {shed} shed (503), \
-         p50 {:?}, p95 {:?}, {:.1} images/s",
+         p50 ≤ {:?}, p95 ≤ {:?}, {:.1} images/s",
         args.requests,
         wall.as_secs_f64(),
-        report.latency_percentile(50.0),
-        report.latency_percentile(95.0),
-        report.throughput(),
+        latency.percentile(50.0),
+        latency.percentile(95.0),
+        images_per_s(ok, args.images, wall),
     );
     eprintln!("loadgen: final /metrics:\n{metrics_text}");
 
@@ -317,11 +313,8 @@ fn run() -> Result<(), String> {
 fn run_registry(args: Args) -> Result<(), String> {
     use ascend_registry::{ModelRegistry, ModelSpec, RegistryConfig};
 
-    let serve_cfg = ascend::serve::ServeConfig {
-        workers: args.workers,
-        micro_batch: 4,
-        queue_depth: args.queue_depth,
-    };
+    let serve_cfg =
+        ascend::serve::ServeConfig { workers: args.workers, queue_depth: args.queue_depth };
 
     // Per-model payloads and expected bodies from throwaway serial
     // sessions, computed before the server exists so the reference is
@@ -404,16 +397,14 @@ fn run_registry(args: Args) -> Result<(), String> {
 
     let tally = Arc::new(Tally::default());
     let next = Arc::new(AtomicUsize::new(0));
-    let latencies = Arc::new(std::sync::Mutex::new(Vec::with_capacity(args.requests)));
     let started = Instant::now();
     let mut clients = Vec::with_capacity(args.connections);
     for _ in 0..args.connections {
         let tally = Arc::clone(&tally);
         let next = Arc::clone(&next);
         let targets = Arc::clone(&targets);
-        let latencies = Arc::clone(&latencies);
         clients.push(std::thread::spawn(move || {
-            client_loop(addr, args.requests, &next, &targets, &tally, &latencies);
+            client_loop(addr, args.requests, &next, &targets, &tally, None);
         }));
     }
     for c in clients {
@@ -436,17 +427,12 @@ fn run_registry(args: Args) -> Result<(), String> {
         .sum();
     let loads: u64 =
         args.artifacts.iter().map(|(n, _)| registry.loads_total(n).unwrap_or(0)).sum();
-    let lat = {
-        let mut guard = latencies.lock().map_err(|_| "latency lock poisoned".to_string())?;
-        std::mem::take(&mut *guard)
-    };
-    let report = ServeReport::from_parts(lat, wall, ok as usize * args.images, args.workers);
     eprintln!(
         "loadgen: {} requests in {:.2}s — {ok} ok, {shed} shed (503), \
          {loads} model loads, {evictions} evictions, {:.1} images/s",
         args.requests,
         wall.as_secs_f64(),
-        report.throughput(),
+        images_per_s(ok, args.images, wall),
     );
 
     let mut failures = Vec::new();
@@ -493,9 +479,15 @@ fn run_registry(args: Args) -> Result<(), String> {
     }
 }
 
+/// Images per second served by `ok` requests of `images` each in `wall`.
+fn images_per_s(ok: u64, images: usize, wall: Duration) -> f64 {
+    ok as f64 * images as f64 / wall.as_secs_f64()
+}
+
 /// One client thread: keep a connection alive, claim request slots off
 /// the shared counter (round-robin over `targets` by slot number), and
-/// tally every outcome. Reconnects when the server closes the connection
+/// tally every outcome, recording each 200's latency into `latencies`
+/// when given. Reconnects when the server closes the connection
 /// (keep-alive cap, a waiting connection, shed, or drain).
 fn client_loop(
     addr: std::net::SocketAddr,
@@ -503,7 +495,7 @@ fn client_loop(
     next: &AtomicUsize,
     targets: &[Target],
     tally: &Tally,
-    latencies: &std::sync::Mutex<Vec<Duration>>,
+    latencies: Option<&Histogram>,
 ) {
     let mut conn: Option<(BufReader<TcpStream>, TcpStream)> = None;
     loop {
@@ -543,8 +535,8 @@ fn client_loop(
                     if response.body != target.expected {
                         tally.body_mismatch.fetch_add(1, Ordering::Relaxed);
                     }
-                    if let Ok(mut guard) = latencies.lock() {
-                        guard.push(sent.elapsed());
+                    if let Some(latencies) = latencies {
+                        latencies.observe(sent.elapsed());
                     }
                 }
                 503 => {

@@ -7,8 +7,8 @@
 //! accepting connections onto a small connection-thread pool, keep-alive
 //! with per-connection request limits and read/write deadlines, a
 //! `POST /v1/infer` route running length-prefixed patch payloads through
-//! the pool, a `GET /metrics` endpoint exporting `ServeReport`-style
-//! latency percentiles plus the live queue depth, and graceful drain on
+//! the pool, a `GET /metrics` endpoint exporting the pool's queue-wait and
+//! service histograms plus the live queue depth, and graceful drain on
 //! shutdown.
 //!
 //! The load-bearing design rule is **non-blocking admission**: socket

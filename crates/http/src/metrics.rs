@@ -81,7 +81,7 @@ impl ServerMetrics {
         let queue_depth =
             registry.gauge("ascend_queue_depth", "Admission queue depth at scrape time.");
         let queue_capacity =
-            registry.gauge("ascend_queue_capacity", "Admission queue capacity (0 = unbounded).");
+            registry.gauge("ascend_queue_capacity", "Admission queue capacity in requests.");
         let in_flight = registry.gauge("ascend_in_flight", "Jobs being computed at scrape time.");
         let workers = registry.gauge("ascend_workers", "Serving pool worker threads.");
         ServerMetrics {

@@ -16,8 +16,9 @@
 //! burst can never wedge the socket threads behind a blocking submit —
 //! the bugfix this crate is built around. When every handler is busy and
 //! the hand-off backlog is full, whole connections are shed with `503`
-//! the same way; the shed socket is half-closed and drained briefly, so
-//! the client's unread request cannot reset the `503` away.
+//! the same way. A shed socket, like one answered with a parse error, is
+//! half-closed and drained briefly, so the client's unread request
+//! cannot reset the answer away.
 //!
 //! Shutdown is graceful: [`ShutdownHandle::shutdown`] sets the stop flag
 //! and wakes the blocked `accept` with a connection to the listener's
@@ -35,7 +36,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ascend::serve::{JobTiming, ServeRequest};
 use ascend::Session;
@@ -58,11 +59,11 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Bound on one wake-up connect; drain retries a wake that fails.
 const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// Read deadline while a shed connection's input is discarded, and the
-/// most reads spent on it: the accept thread lingers at most their
-/// product on one shed socket (the usual cost is one round trip).
-const SHED_LINGER: Duration = Duration::from_millis(20);
-const SHED_LINGER_READS: usize = 8;
+/// Bounds of [`linger_close`]: the longest silence it waits through, and
+/// its whole time on one socket (on a shed socket, the accept thread's
+/// time; the usual cost is one round trip).
+const LINGER_IDLE: Duration = Duration::from_millis(20);
+const LINGER_BUDGET: Duration = Duration::from_millis(160);
 
 /// How long drain waits for the accept thread before waking it again.
 const WAKE_RETRY: Duration = Duration::from_millis(2);
@@ -332,25 +333,37 @@ fn accept_loop(
     }
 }
 
-/// Best-effort `503` on a connection there is no handler capacity for.
-/// The close lingers: dropping a socket whose request is still unread
-/// makes the kernel reset the connection, and the reset can destroy the
-/// `503` before the client reads it. So the server half-closes, then
-/// discards input until the client closes, bounded by [`SHED_LINGER`].
+/// Best-effort `503` on a connection there is no handler capacity for;
+/// the request is unread, so the close lingers.
 fn shed_connection(mut stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout));
     let response = Response::text(503, "server at connection capacity; retry later")
         .with_header("retry-after", "1");
-    if response.write_to(&mut stream, true).is_err()
-        || stream.shutdown(Shutdown::Write).is_err()
-        || stream.set_read_timeout(Some(SHED_LINGER)).is_err()
-    {
+    if response.write_to(&mut stream, true).is_ok() {
+        linger_close(&mut stream);
+    }
+}
+
+/// Closes a connection whose request may still be unread without
+/// destroying the answer already written to it. Dropping a socket with
+/// unread input makes the kernel reset the connection, and the reset can
+/// discard the answer before the client reads it. So the server
+/// half-closes, then discards input until the client closes, stays
+/// silent for [`LINGER_IDLE`], or [`LINGER_BUDGET`] has passed.
+fn linger_close(stream: &mut TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_err() {
         return;
     }
-    let mut discard = [0u8; 4096];
-    for _ in 0..SHED_LINGER_READS {
+    #[expect(clippy::disallowed_methods, reason = "bounds the discard on a closing socket; never reaches a response or a metric")]
+    let started = Instant::now();
+    let mut discard = [0u8; 16 * 1024];
+    loop {
+        let left = LINGER_BUDGET.saturating_sub(started.elapsed());
+        if left.is_zero() || stream.set_read_timeout(Some(left.min(LINGER_IDLE))).is_err() {
+            return;
+        }
         if !matches!(stream.read(&mut discard), Ok(n) if n > 0) {
-            break;
+            return;
         }
     }
 }
@@ -464,8 +477,10 @@ fn await_request(reader: &mut BufReader<TcpStream>, cfg: &HttpConfig) -> Result<
     reader.get_ref().set_read_timeout(Some(cfg.read_timeout)).map_err(ParseError::Io)
 }
 
-/// Answers a request-parse failure with the right status (or a quiet
-/// close for idle/io), always with `Connection: close`.
+/// Answers a request-parse failure with the right status, always with
+/// `Connection: close`, and lingers on the close, since the rest of the
+/// request is unread. Idle and i/o failures close quietly and at once, so
+/// an ended keep-alive connection is not held.
 fn respond_parse_error(stream: &mut TcpStream, metrics: &ServerMetrics, e: &ParseError) {
     let response = match e {
         ParseError::Idle | ParseError::Io(_) => return,
@@ -482,7 +497,9 @@ fn respond_parse_error(stream: &mut TcpStream, metrics: &ServerMetrics, e: &Pars
         }
     };
     metrics.record_status(response.status);
-    let _ = response.write_to(stream, true);
+    if response.write_to(stream, true).is_ok() {
+        linger_close(stream);
+    }
 }
 
 /// Dispatches one parsed request; a `200` inference also returns the

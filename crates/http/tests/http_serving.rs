@@ -6,17 +6,21 @@
 //! in-process serial forward. The connection tier: idle sockets free
 //! their handler after the idle timeout, the busy/backlog gauges track
 //! handlers, and shutdown wakes the blocking accept and closes the
-//! listener on every address family.
+//! listener on every address family. A connection closed with its
+//! request unread (shed, or answered with a parse error) lingers, so its
+//! answer is not reset away. A registry model registered without a queue
+//! depth gets the pool's bounded default, so it sheds too.
 
 use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ascend::serve::ServeConfig;
+use ascend::serve::{ServeConfig, ServeRequest};
 use ascend::{ForwardScratch, InferenceBackend, Session};
 use ascend_http::{client, HttpConfig, HttpServer};
 use ascend_obs::StageObserver;
+use ascend_registry::{ModelRegistry, ModelSpec, RegistryConfig};
 use ascend_tensor::Tensor;
 use ascend_vit::{PrecisionPlan, VitConfig};
 use sc_core::ScError;
@@ -125,9 +129,8 @@ fn gated_server(
     let session = Arc::new(
         Session::from_shared_backend(
             Arc::clone(&backend) as Arc<dyn InferenceBackend>,
-            ServeConfig { workers: 1, micro_batch: 1, queue_depth },
-        )
-        .expect("session builds"),
+            ServeConfig { workers: 1, queue_depth },
+        ),
     );
     let server = HttpServer::bind(Arc::clone(&session), cfg).expect("server binds");
     (server, backend, session)
@@ -406,9 +409,8 @@ fn dead_pool_answers_503_never_hangs() {
     let session = Arc::new(
         Session::from_shared_backend(
             backend,
-            ServeConfig { workers: 1, micro_batch: 1, queue_depth: 2 },
-        )
-        .expect("session builds"),
+            ServeConfig { workers: 1, queue_depth: 2 },
+        ),
     );
     let server =
         HttpServer::bind(Arc::clone(&session), HttpConfig::new("127.0.0.1:0")).expect("binds");
@@ -623,13 +625,85 @@ fn a_connection_shed_at_capacity_reads_its_503_after_sending_a_request() {
 }
 
 #[test]
+fn an_over_limit_body_reads_its_413_after_sending_the_body() {
+    use std::io::Write;
+    // The client sends a whole over-limit request before reading. The
+    // server rejects it on the declared length, so the body stays unread
+    // and the close must linger, or the reset it causes can destroy the
+    // 413 before the client reads it.
+    let mut cfg = HttpConfig::new("127.0.0.1:0");
+    cfg.max_body_bytes = 1024;
+    let (server, _backend, _session) = gated_server(true, 4, cfg);
+    let body = vec![b'x'; 256 * 1024];
+    let head = format!("POST /v1/infer HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len());
+    for attempt in 0..50 {
+        let (mut reader, mut writer) = connect(server.local_addr());
+        let sent = writer.write_all(head.as_bytes()).and_then(|()| writer.write_all(&body));
+        let response = client::read_response(&mut reader)
+            .map(|r| (r.status, r.wants_close()))
+            .map_err(|e| e.kind());
+        assert_eq!(response, Ok((413, true)), "attempt {attempt} (body write: {sent:?})");
+    }
+    server.join();
+}
+
+#[test]
+fn a_registry_model_without_a_queue_depth_sheds_when_its_queue_fills() {
+    // Only the worker count is stated: the queue depth is the pool's
+    // default, which must be bounded, or the model could never shed.
+    let backend = Arc::new(GatedBackend::new(false));
+    let registry = Arc::new(ModelRegistry::new(RegistryConfig::default()));
+    registry
+        .register(
+            ModelSpec::shared("m", Arc::clone(&backend) as Arc<dyn InferenceBackend>)
+                .serve(ServeConfig { workers: 1, ..Default::default() }),
+        )
+        .expect("register");
+    let server = HttpServer::bind_registry(Arc::clone(&registry), HttpConfig::new("127.0.0.1:0"))
+        .expect("server binds");
+    let model = registry.acquire("m").expect("warm");
+    let pool = model.session().runner().expect("pool");
+    let cfg = tiny_vit();
+    let (p, pd) = (cfg.num_patches(), cfg.patch_dim());
+    let request = || ServeRequest::new(Tensor::from_vec(vec![1.0; p * pd], &[p, pd]), 1);
+
+    // One request holds the only worker; up to the default depth more
+    // fill the queue.
+    let mut admitted = vec![pool.try_submit(request()).expect("held request")];
+    wait_until("the worker is held", Duration::from_secs(5), || pool.in_flight() == 1);
+    while admitted.len() <= 4 {
+        match pool.try_submit(request()) {
+            Ok(handle) => admitted.push(handle),
+            Err(_) => break,
+        }
+    }
+    // The next admission is shed, in process and over HTTP. The gate
+    // opens before any assert, so a failure cannot leave the worker held.
+    let next = pool.try_submit(request()).map(|_| ());
+    let over_http = (admitted.len() == 5 && next.is_err()).then(|| {
+        let (mut reader, mut writer) = connect(server.local_addr());
+        client::write_request(&mut writer, "POST", "/v1/models/m/infer", &gated_payload(1.0), true)
+            .expect("write");
+        client::read_response(&mut reader).expect("response")
+    });
+    backend.open();
+    assert_eq!(admitted.len(), 5, "the held request plus 4 × 1 worker queue slots");
+    assert!(matches!(next, Err(ScError::QueueFull { depth: 4 })), "got {next:?}");
+    let shed = over_http.expect("HTTP request sent");
+    assert_eq!((shed.status, shed.header("retry-after")), (503, Some("1")));
+    for handle in admitted {
+        handle.collect().expect("admitted requests complete");
+    }
+    server.join();
+}
+
+#[test]
 fn bind_rejects_configs_that_could_never_serve() {
     let session = Arc::new(
         Session::from_shared_backend(
             Arc::new(GatedBackend::new(true)) as Arc<dyn InferenceBackend>,
-            ServeConfig { workers: 1, micro_batch: 1, queue_depth: 1 },
-        )
-        .expect("session builds"),
+            ServeConfig { workers: 1, queue_depth: 1 },
+        ),
     );
     let rejects = |field: &str, tweak: fn(&mut HttpConfig)| {
         let mut cfg = HttpConfig::new("127.0.0.1:0");
@@ -711,9 +785,8 @@ fn http_logits_are_bit_identical_to_the_serial_forward() {
     let session = Arc::new(
         Session::from_shared_backend(
             Arc::clone(&engine) as Arc<dyn InferenceBackend>,
-            ServeConfig { workers: 2, micro_batch: 4, queue_depth: 8 },
-        )
-        .expect("session builds"),
+            ServeConfig { workers: 2, queue_depth: 8 },
+        ),
     );
     let server =
         HttpServer::bind(Arc::clone(&session), HttpConfig::new("127.0.0.1:0")).expect("binds");

@@ -63,7 +63,7 @@ impl InferenceBackend for ScaledBackend {
 }
 
 fn serve_cfg() -> ServeConfig {
-    ServeConfig { workers: 1, micro_batch: 1, queue_depth: 4 }
+    ServeConfig { workers: 1, queue_depth: 4 }
 }
 
 fn spec(name: &str, scale: f32, bytes: usize) -> ModelSpec {

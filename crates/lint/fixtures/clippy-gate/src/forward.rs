@@ -1,7 +1,8 @@
 //! A bit-identical-output module: wall-clock reads and unordered
 //! containers are denied here, as in the roots of sc-core, sc-nonlinear,
 //! sc-hw, tensor, vit, io and core (the clock also in registry, http,
-//! bench and cli).
+//! bench and cli). The unbounded `mpsc::channel` is denied wherever the
+//! clock is.
 #![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -41,6 +42,16 @@ pub fn seen(xs: &[u32]) -> usize {
 // case: btreemap_is_always_fine
 pub fn ordered(xs: &[u32]) -> (BTreeMap<u32, u32>, BTreeSet<u32>) {
     (xs.iter().map(|x| (*x, *x)).collect(), xs.iter().copied().collect())
+}
+
+// case: unbounded_channel_is_denied_where_the_clock_is
+pub fn unbounded() -> std::sync::mpsc::Sender<u32> {
+    std::sync::mpsc::channel().0 //~ clippy::disallowed_methods
+}
+
+// case: sync_channel_is_the_bounded_queue_and_is_fine
+pub fn bounded() -> std::sync::mpsc::SyncSender<u32> {
+    std::sync::mpsc::sync_channel(4).0
 }
 
 // case: wallclock_in_test_code_still_needs_an_expect

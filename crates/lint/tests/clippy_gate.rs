@@ -1,6 +1,6 @@
 //! The clippy gate: the panic surface, wall-clock reads, unordered
-//! containers, lossy codec casts and `unsafe` are rustc/clippy lints, not
-//! ascend-lint rules. This test runs `cargo clippy` once over
+//! containers, unbounded channels, lossy codec casts and `unsafe` are
+//! rustc/clippy lints, not ascend-lint rules. This test runs `cargo clippy` once over
 //! `fixtures/clippy-gate` — a crate seeded with each invariant's positive
 //! and negative cases — with `CLIPPY_CONF_DIR` at the workspace root, so
 //! the workspace's own `clippy.toml` is the one under test. Each case must
@@ -153,6 +153,9 @@ cases! {
     importing_instant_without_calling_now_is_fine => [],
     elapsed_on_a_passed_in_instant_is_fine => [],
     wallclock_in_test_code_still_needs_an_expect => ["clippy::disallowed_methods"],
+    // Unbounded queues (`disallowed_methods`).
+    unbounded_channel_is_denied_where_the_clock_is => ["clippy::disallowed_methods"],
+    sync_channel_is_the_bounded_queue_and_is_fine => [],
     // Unordered containers (`disallowed_types`).
     hashmap_fires_in_deterministic_crates_only => ["clippy::disallowed_types"],
     hashset_fires_in_deterministic_crates => ["clippy::disallowed_types"],

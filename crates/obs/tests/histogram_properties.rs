@@ -1,8 +1,7 @@
 //! Property tests for the log2 histogram: cumulative monotonicity and
-//! nearest-rank percentile agreement with an exact sorted-sample oracle
-//! (the same nearest-rank definition `ServeReport::latency_percentile`
-//! uses, so bracketing the oracle here is what makes the `/metrics`
-//! percentiles trustworthy against the report's).
+//! nearest-rank percentile agreement with an exact sorted-sample oracle,
+//! so the `/metrics` percentiles are trustworthy against an exact
+//! computation over the same samples.
 
 use ascend_obs::{HistSnapshot, Histogram, HIST_BUCKETS};
 use proptest::prelude::*;
@@ -17,11 +16,39 @@ fn cumulative(snap: &HistSnapshot) -> Vec<u64> {
     cum
 }
 
-/// Exact nearest-rank percentile over raw samples (the ServeReport rule).
+/// Exact nearest-rank percentile over raw samples: rank `ceil(p/100 · n)`,
+/// clamped to `[1, n]`.
 fn exact_nearest_rank(sorted: &[u64], p: f64) -> u64 {
     let n = sorted.len();
     let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
     sorted[rank - 1]
+}
+
+#[test]
+fn histogram_brackets_a_skewed_fixed_population() {
+    // A deliberately skewed latency population: microsecond-scale bulk
+    // with a heavy millisecond tail, crossing many log2 buckets.
+    let samples: Vec<u64> = (1..=200u64)
+        .map(|i| if i % 17 == 0 { i * 1_000_000 } else { 300 + i * i * 40 })
+        .collect();
+    let h = Histogram::new();
+    for &v in &samples {
+        h.observe_ns(v);
+    }
+    let snap = h.snapshot();
+    assert_eq!(snap.count(), 200);
+    let mut sorted = samples.clone();
+    sorted.sort_unstable();
+    for p in [0.0, 10.0, 50.0, 90.0, 95.0, 99.0, 100.0] {
+        let exact = exact_nearest_rank(&sorted, p);
+        let (lo, hi) = snap.percentile_bounds_ns(p);
+        assert!(
+            lo <= exact && exact <= hi,
+            "p{p}: exact nearest-rank {exact}ns outside histogram bucket [{lo}, {hi}]"
+        );
+        // The conservative scalar percentile is the bucket's upper bound.
+        assert_eq!(snap.percentile_ns(p), hi);
+    }
 }
 
 proptest! {

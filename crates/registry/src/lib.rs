@@ -125,7 +125,8 @@ pub struct ModelSpec {
     pub name: String,
     /// Where the weights come from.
     pub source: ModelSource,
-    /// Pool shape used when the model warms.
+    /// Pool shape used when the model warms; its `0`s resolve as
+    /// [`ServeConfig::resolved`] says, so the default queue is bounded.
     pub serve: ServeConfig,
 }
 
@@ -567,7 +568,7 @@ impl ModelRegistry {
     ) -> Result<Arc<ModelHandle>, ScError> {
         let warmed = self.materialize(source).and_then(|backend| {
             let bytes = backend.resident_bytes();
-            let session = Session::from_shared_backend(Arc::clone(&backend), serve)?;
+            let session = Session::from_shared_backend(Arc::clone(&backend), serve);
             // Spawn the worker pool *during* warming so the first real
             // request hits a ready pool, and so a spawn failure surfaces
             // here as a typed error instead of on the request path.
@@ -804,7 +805,7 @@ mod tests {
     }
 
     fn serve_cfg() -> ServeConfig {
-        ServeConfig { workers: 1, micro_batch: 1, queue_depth: 0 }
+        ServeConfig { workers: 1, queue_depth: 0 }
     }
 
     fn registry(budget: usize) -> ModelRegistry {

@@ -16,7 +16,7 @@ use ascend::engine::{EngineConfig, ScEngine};
 use ascend::fixture::{engine_or_load, FixtureRecipe};
 use ascend::{ForwardScratch, InferenceBackend, ServeConfig, ServeRequest};
 use ascend_obs::StageObserver;
-use ascend_registry::{ModelRegistry, ModelSpec, ModelState, RegistryConfig};
+use ascend_registry::{ModelHandle, ModelRegistry, ModelSpec, ModelState, RegistryConfig};
 use ascend_tensor::Tensor;
 use ascend_vit::data::Dataset;
 use ascend_vit::{PrecisionPlan, VitConfig};
@@ -43,8 +43,17 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// One worker, and room in the queue for every request a test holds
+/// behind a closed gate (the eviction test queues five).
 fn serve_cfg() -> ServeConfig {
-    ServeConfig { workers: 1, micro_batch: 1, queue_depth: 0 }
+    ServeConfig { workers: 1, queue_depth: 8 }
+}
+
+/// Serves `patches` as one request on the model's pool.
+fn serve(handle: &ModelHandle, patches: &Tensor, images: usize) -> Tensor {
+    let pool = handle.session().runner().expect("pool");
+    let request = ServeRequest::new(patches.clone(), images);
+    pool.submit(request).and_then(|h| h.collect()).expect("served").0
 }
 
 fn assert_bit_identical(got: &Tensor, want: &Tensor, what: &str) {
@@ -81,7 +90,7 @@ fn two_models_over_one_artifact_share_weights_and_serve_bit_identically() {
     let patches = test.patches(&[0, 1, 2], patch);
     let want = engine.forward(&patches, 3).expect("serial forward");
     for handle in [&alpha, &beta] {
-        let (got, _report) = handle.session().serve_batch(&patches, 3).expect("served batch");
+        let got = serve(handle, &patches, 3);
         assert_bit_identical(&got, &want, &format!("model {}", handle.name()));
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -110,7 +119,7 @@ fn rewarm_after_eviction_is_bit_identical_to_first_load() {
     let patches = test.patches(&[3, 4], patch);
 
     let first = registry.acquire("a").expect("first warm of a");
-    let out_first = first.session().serve_batch(&patches, 2).expect("first serve").0;
+    let out_first = serve(&first, &patches, 2);
     drop(first);
 
     registry.acquire("b").expect("warm b evicts a");
@@ -120,7 +129,7 @@ fn rewarm_after_eviction_is_bit_identical_to_first_load() {
     let again = registry.acquire("a").expect("re-warm a evicts b");
     assert_eq!(registry.state("b"), Some(ModelState::Cold));
     assert_eq!(registry.loads_total("a"), Some(2), "re-warm is a fresh lazy load");
-    let out_again = again.session().serve_batch(&patches, 2).expect("re-warmed serve").0;
+    let out_again = serve(&again, &patches, 2);
     assert_bit_identical(&out_again, &out_first, "re-warm after eviction");
 
     assert!(registry.resident_bytes() <= registry.budget_bytes());

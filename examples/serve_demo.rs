@@ -1,8 +1,8 @@
 //! Serving-runtime demo: compile an SC engine once, then serve through a
-//! persistent `ServePool` — long-lived workers, streaming submit/collect,
-//! bounded-queue backpressure, graceful shutdown — and prove the parallel
-//! logits are bit-for-bit identical to the serial engine while the same
-//! pool serves round after round.
+//! persistent `ServePool` — long-lived workers, submit/collect through a
+//! bounded queue, graceful shutdown — and prove the parallel logits are
+//! bit-for-bit identical to the serial engine while the same pool serves
+//! round after round.
 //!
 //! Run with: `cargo run --release -p ascend-examples --bin serve_demo`
 
@@ -14,6 +14,10 @@ use ascend::InferenceBackend;
 use ascend_examples::section;
 use std::sync::Arc;
 use std::time::Instant;
+
+#[path = "../tests/support.rs"]
+mod support;
+use support::{assert_bit_identical, serve_per_image};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     section("training a tiny SC-friendly ViT (checkpoint-cached)");
@@ -37,19 +41,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     section("session facade: one persistent pool across rounds");
     // The one documented entry point: the builder sniffs the artifact kind
-    // and the session owns one persistent pool — repeated serve calls
-    // reuse the same worker threads.
+    // and the session owns one persistent pool — every round reuses the
+    // same worker threads.
     let session = ascend::Session::builder()
         .artifact(&artifact)
         .backend(ascend::BackendKind::Sc)
         .workers(2)
-        .micro_batch(4)
         .build()
         ?;
     let demo = test.patches(&(0..8).collect::<Vec<_>>(), 4);
+    let pool = session.runner()?;
     for round in 1..=3 {
-        let (_, report) = session.serve_batch(&demo, 8)?;
-        println!("`{}` round {round}: {}", session.backend().name(), report.summary());
+        serve_per_image(pool, &demo)?;
+        let service = pool.obs().service().snapshot();
+        println!(
+            "`{}` round {round}: {} requests served, service p50 ≤ {:?}",
+            session.backend().name(),
+            service.count(),
+            service.percentile(50.0),
+        );
     }
     std::fs::remove_file(&artifact).ok();
 
@@ -69,32 +79,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for workers in [1usize, 2, 4] {
         let pool = ServePool::new(
             Arc::clone(&engine),
-            ServeConfig { workers, micro_batch: 4, queue_depth: 0 },
+            ServeConfig { workers, queue_depth: 0 },
         )
         ?;
         // Two rounds on the SAME pool: the long-lived workers (one
         // reusable scratch each) must be numerically invisible.
         for round in 1..=2 {
-            let (logits, report) = pool.run_batch(&patches, n)?;
-            let identical = logits
-                .data()
-                .iter()
-                .zip(serial.data().iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            println!("workers={workers} round {round}: {}", report.summary());
-            println!("          bit-identical to serial: {identical}");
-            assert!(identical, "parallel output diverged from serial");
+            let t0 = Instant::now();
+            let logits = serve_per_image(&pool, &patches)?;
+            let wall = t0.elapsed();
+            println!(
+                "workers={workers} round {round}: {n} images in {:.1} ms — {:.1} images/s",
+                wall.as_secs_f64() * 1e3,
+                n as f64 / wall.as_secs_f64()
+            );
+            assert_bit_identical(&logits, &serial, "parallel vs serial");
+            println!("          bit-identical to serial: true");
         }
         pool.shutdown(); // graceful: queue closes, workers join
     }
 
-    section("streaming submit/collect through a bounded queue");
+    section("ragged requests through a small queue");
     // queue_depth = 2: once two requests are waiting, submit blocks until
     // a worker frees a slot — backpressure instead of unbounded buffering,
     // and a slow request only ever occupies its own worker.
     let pool = ServePool::new(
         Arc::clone(&engine),
-        ServeConfig { workers: 2, micro_batch: 4, queue_depth: 2 },
+        ServeConfig { workers: 2, queue_depth: 2 },
     )
     ?;
     let sizes = [5usize, 1, 9, 3, 14, 2, 8, 6];

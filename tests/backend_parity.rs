@@ -34,7 +34,7 @@ fn sessions() -> (Session, Session, Dataset) {
 }
 
 mod support;
-use support::assert_bit_identical;
+use support::{assert_bit_identical, serve_per_image};
 
 #[test]
 fn ref_and_sc_backends_agree_within_the_papers_tolerance() {
@@ -134,9 +134,10 @@ fn parallel_serving_is_bit_identical_for_every_backend() {
     let patches = test.patches(&(0..n).collect::<Vec<_>>(), 4);
     for (session, label) in [(&sc, "sc"), (&reference, "ref")] {
         let serial = session.forward(&patches, n).expect("serial forward");
-        let (parallel, report) = session.serve_batch(&patches, n).expect("parallel serve");
+        let pool = session.runner().expect("pool");
+        let parallel = serve_per_image(pool, &patches).expect("parallel serve");
         assert_bit_identical(&parallel, &serial, &format!("{label} parallel vs serial"));
-        assert_eq!(report.images(), n);
+        assert_eq!(pool.obs().service().snapshot().count(), n as u64);
     }
 }
 
@@ -145,7 +146,7 @@ fn fault_injecting_backend_stays_deterministic_on_a_reused_pool() {
     // The persistent pool must preserve the parallel == serial contract
     // for the decorator stack too: fault sampling is a function of
     // (seed, image), never of which long-lived worker serves the request
-    // or how many runs the pool has already served.
+    // or how many rounds the pool has already served.
     let recipe = parity_recipe();
     let (ckpt, _, test) = ascend::fixture::checkpoint_or_load(&recipe);
     let session = Session::builder()
@@ -153,7 +154,6 @@ fn fault_injecting_backend_stays_deterministic_on_a_reused_pool() {
         .backend(BackendKind::Sc)
         .fault(0.02, 7)
         .workers(2)
-        .micro_batch(4)
         .build()
         .expect("fault session builds");
     let n = 13usize;
@@ -161,8 +161,9 @@ fn fault_injecting_backend_stays_deterministic_on_a_reused_pool() {
     let serial = session.forward(&patches, n).expect("serial faulted forward");
     for round in 0..3 {
         // Every round reuses the session's one pool (same worker threads).
-        let (parallel, report) = session.serve_batch(&patches, n).expect("faulted serve");
+        let pool = session.runner().expect("pool");
+        let parallel = serve_per_image(pool, &patches).expect("faulted serve");
         assert_bit_identical(&parallel, &serial, &format!("faulted pool reuse round {round}"));
-        assert_eq!(report.workers(), 2);
+        assert_eq!(pool.workers(), 2);
     }
 }

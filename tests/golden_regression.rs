@@ -71,6 +71,7 @@ fn scratch_path(name: &str) -> PathBuf {
     dir.join(name)
 }
 
+#[expect(dead_code, reason = "this suite checks serial forwards only; serve_per_image is for the pooled suites")]
 mod support;
 use support::assert_bit_identical;
 

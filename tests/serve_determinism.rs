@@ -1,8 +1,8 @@
 //! Tier-1 determinism contract of the serving runtime: the persistent
 //! [`ServePool`] must produce **bit-for-bit** the same logits as the
 //! serial [`ScEngine::forward`] for the same inputs, across worker counts,
-//! odd batch sizes that do not divide evenly into micro-batches, and —
-//! since the pool is long-lived — across successive runs on one pool.
+//! odd batch sizes, and — since the pool is long-lived — across
+//! successive rounds on one pool.
 //!
 //! This is what makes the runtime safe to drop into accuracy experiments:
 //! parallelism is purely a scheduling concern and never a numerics one.
@@ -41,13 +41,12 @@ fn tiny_engine() -> (Arc<ScEngine>, Dataset) {
 }
 
 mod support;
-use support::assert_bit_identical;
+use support::{assert_bit_identical, serve_per_image};
 
 #[test]
 fn batch_runner_is_bit_identical_across_worker_counts() {
     let (engine, test) = tiny_engine();
-    // Odd batch sizes: 7 = 4 + 3 and 13 = 3·4 + 1 leave ragged final
-    // micro-batches at micro_batch = 4.
+    // Odd batch sizes, each served as one request per image.
     for &n in &[7usize, 13] {
         let idx: Vec<usize> = (0..n).collect();
         let patches = test.patches(&idx, 4);
@@ -55,16 +54,13 @@ fn batch_runner_is_bit_identical_across_worker_counts() {
         for workers in [1usize, 2, 4] {
             let runner = ServePool::new(
                 Arc::clone(&engine),
-                ServeConfig { workers, micro_batch: 4, queue_depth: 0 },
+                ServeConfig { workers, queue_depth: 0 },
             )
             .expect("runner builds");
-            let (parallel, report) = runner.run_batch(&patches, n).expect("parallel run");
+            let parallel = serve_per_image(&runner, &patches).expect("parallel run");
             assert_bit_identical(&parallel, &serial, &format!("n={n} workers={workers}"));
-            assert_eq!(report.images(), n);
-            assert_eq!(report.requests(), n.div_ceil(4));
-            // The report states the pool size that actually served the
-            // run: the number of long-lived threads, exactly as asked.
-            assert_eq!(report.workers(), workers);
+            assert_eq!(runner.obs().service().snapshot().count(), n as u64);
+            // The pool runs exactly the long-lived threads asked for.
             assert_eq!(runner.workers(), workers);
         }
     }
@@ -84,26 +80,25 @@ fn request_queue_matches_per_request_serial_forward() {
     }
     let pool = ServePool::new(
         Arc::clone(&engine),
-        ServeConfig { workers: 3, micro_batch: 4, queue_depth: 2 },
+        ServeConfig { workers: 3, queue_depth: 2 },
     )
     .expect("pool builds");
-    let outcome = pool.run(&requests).expect("queue run");
-    assert_eq!(outcome.logits.len(), sizes.len());
-    assert_eq!(outcome.report.requests(), sizes.len());
-    assert_eq!(outcome.report.images(), sizes.iter().sum::<usize>());
-    assert_eq!(outcome.report.latencies().len(), sizes.len());
-    for (req, got) in requests.iter().zip(outcome.logits.iter()) {
+    let handles: Vec<_> =
+        requests.iter().map(|r| pool.submit(r.clone()).expect("submit")).collect();
+    for (req, handle) in requests.iter().zip(handles) {
+        let (got, _timing) = handle.collect().expect("collect");
         let want = engine.forward(&req.patches, req.images).expect("serial forward");
-        assert_bit_identical(got, &want, &format!("request of {} images", req.images));
+        assert_bit_identical(&got, &want, &format!("request of {} images", req.images));
     }
+    assert_eq!(pool.obs().service().snapshot().count(), sizes.len() as u64);
 }
 
 #[test]
 fn pool_reuse_is_bit_identical_to_fresh_pools_for_both_backends() {
-    // The acceptance bar of the persistent pool: successive `run_batch`
-    // calls on ONE pool must match both the serial forward and a freshly
-    // spawned pool per call, bit for bit, for the SC and ref backends
-    // alike, across worker counts and a ragged micro-batch split.
+    // The acceptance bar of the persistent pool: successive rounds on ONE
+    // pool must match both the serial forward and a freshly spawned pool
+    // per round, bit for bit, for the SC and ref backends alike, across
+    // worker counts.
     let recipe = tiny_recipe();
     let (ckpt, _, test) = ascend::fixture::checkpoint_or_load(&recipe);
     let sc: Arc<dyn InferenceBackend> = Arc::new(
@@ -111,25 +106,24 @@ fn pool_reuse_is_bit_identical_to_fresh_pools_for_both_backends() {
     );
     let reference: Arc<dyn InferenceBackend> =
         Arc::new(RefEngine::compile_from_checkpoint(&ckpt).expect("ref compiles"));
-    let n = 13usize; // 3·4 + 1: ragged at micro_batch = 4
+    let n = 13usize;
     let patches = test.patches(&(0..n).collect::<Vec<_>>(), 4);
     for (backend, label) in [(&sc, "sc"), (&reference, "ref")] {
         let serial = backend.forward(&patches, n).expect("serial forward");
         for workers in [1usize, 2, 4] {
-            let cfg = ServeConfig { workers, micro_batch: 4, queue_depth: 0 };
+            let cfg = ServeConfig { workers, queue_depth: 0 };
             let reused = ServePool::new(Arc::clone(backend), cfg).expect("pool builds");
             for round in 0..3 {
-                let (from_reused, report) =
-                    reused.run_batch(&patches, n).expect("reused-pool run");
+                let from_reused = serve_per_image(&reused, &patches).expect("reused-pool run");
                 assert_bit_identical(
                     &from_reused,
                     &serial,
                     &format!("{label} reused pool round {round} workers={workers}"),
                 );
-                assert_eq!(report.workers(), workers);
+                assert_eq!(reused.workers(), workers);
                 // A spawn-per-call pool must agree with the reused one.
                 let fresh = ServePool::new(Arc::clone(backend), cfg).expect("fresh pool");
-                let (from_fresh, _) = fresh.run_batch(&patches, n).expect("fresh-pool run");
+                let from_fresh = serve_per_image(&fresh, &patches).expect("fresh-pool run");
                 assert_bit_identical(
                     &from_fresh,
                     &from_reused,
@@ -147,7 +141,7 @@ fn streaming_submit_collect_preserves_request_order() {
     let (engine, test) = tiny_engine();
     let pool = ServePool::new(
         Arc::clone(&engine),
-        ServeConfig { workers: 2, micro_batch: 4, queue_depth: 3 },
+        ServeConfig { workers: 2, queue_depth: 3 },
     )
     .expect("pool builds");
     // Submit a stream of single-image requests, collect handles in
@@ -177,16 +171,17 @@ fn pool_with_more_workers_than_requests_drains_cleanly() {
     let (engine, test) = tiny_engine();
     let pool = ServePool::new(
         Arc::clone(&engine),
-        ServeConfig { workers: 8, micro_batch: 4, queue_depth: 1 },
+        ServeConfig { workers: 8, queue_depth: 1 },
     )
     .expect("pool builds");
     let patches = test.patches(&[0, 1], 4);
     let serial = engine.forward(&patches, 2).expect("serial forward");
-    let outcome = pool
-        .run(&[ServeRequest::new(patches.clone(), 2)])
+    let (logits, _timing) = pool
+        .submit(ServeRequest::new(patches, 2))
+        .and_then(|handle| handle.collect())
         .expect("underfull pool run");
-    assert_bit_identical(&outcome.logits[0], &serial, "workers > requests");
-    assert_eq!(outcome.report.workers(), 8, "report must state the real pool size");
+    assert_bit_identical(&logits, &serial, "workers > requests");
+    assert_eq!(pool.workers(), 8, "the pool runs the real pool size");
     // Idle workers must not wedge shutdown.
     pool.shutdown();
 }
@@ -256,7 +251,7 @@ fn full_queue_blocks_submitters_without_dropping_or_reordering() {
     // block — that is the backpressure contract.
     let pool = ServePool::new(
         Arc::clone(&backend),
-        ServeConfig { workers: 1, micro_batch: 1, queue_depth: 1 },
+        ServeConfig { workers: 1, queue_depth: 1 },
     )
     .expect("pool builds");
     let total = 6usize;
@@ -323,7 +318,7 @@ fn try_submit_sheds_on_a_full_queue_and_the_gauges_track_it() {
     };
     let pool = ServePool::new(
         Arc::clone(&backend),
-        ServeConfig { workers: 1, micro_batch: 1, queue_depth: 1 },
+        ServeConfig { workers: 1, queue_depth: 1 },
     )
     .expect("pool builds");
     assert_eq!(pool.queue_capacity(), 1);
@@ -398,7 +393,7 @@ fn worker_loss_surfaces_pool_gone_instead_of_hanging() {
     let backend = Arc::new(PanickingBackend { cfg: gated.cfg, plan: PrecisionPlan::fp() });
     let pool = ServePool::new(
         backend,
-        ServeConfig { workers: 1, micro_batch: 1, queue_depth: 1 },
+        ServeConfig { workers: 1, queue_depth: 1 },
     )
     .expect("pool builds");
 
@@ -458,9 +453,8 @@ fn forward_one_composes_to_batched_forward() {
 fn session_facade_preserves_the_bit_identity_contract() {
     // The same parallel == serial proof, driven end to end through the
     // public `Session` facade on the SC backend: build from the fixture
-    // checkpoint, serve repeatedly through `Session::serve_batch` (which
-    // reuses the session's one persistent pool), compare against
-    // `Session::forward`.
+    // checkpoint, serve repeatedly through `Session::runner` (the
+    // session's one persistent pool), compare against `Session::forward`.
     let recipe = tiny_recipe();
     for workers in [1usize, 2, 4] {
         let (ckpt, _, test) = ascend::fixture::checkpoint_or_load(&recipe);
@@ -468,7 +462,6 @@ fn session_facade_preserves_the_bit_identity_contract() {
             .checkpoint(ckpt)
             .backend(ascend::BackendKind::Sc)
             .workers(workers)
-            .micro_batch(4)
             .build()
             .expect("session builds");
         assert_eq!(session.backend().name(), "sc-exact");
@@ -476,15 +469,15 @@ fn session_facade_preserves_the_bit_identity_contract() {
         let patches = test.patches(&(0..n).collect::<Vec<_>>(), 4);
         let serial = session.forward(&patches, n).expect("serial forward");
         for round in 0..2 {
-            let (parallel, report) = session.serve_batch(&patches, n).expect("parallel serve");
+            let pool = session.runner().expect("pool");
+            let parallel = serve_per_image(pool, &patches).expect("parallel serve");
             assert_bit_identical(
                 &parallel,
                 &serial,
                 &format!("session workers={workers} round={round}"),
             );
-            assert_eq!(report.images(), n);
-            assert_eq!(report.requests(), n.div_ceil(4));
-            assert_eq!(report.workers(), workers, "session pool size must be stable");
+            assert_eq!(pool.obs().service().snapshot().count(), (n * (round + 1)) as u64);
+            assert_eq!(pool.workers(), workers, "session pool size must be stable");
         }
     }
 }
@@ -509,22 +502,23 @@ fn session_compiles_the_same_engine_as_the_direct_path() {
 #[test]
 fn runner_rejects_malformed_configs_and_requests() {
     let (engine, test) = tiny_engine();
-    assert!(
-        ServePool::new(
-            Arc::clone(&engine),
-            ServeConfig { micro_batch: 0, ..ServeConfig::auto() }
-        )
-        .is_err(),
-        "micro_batch = 0 must be rejected"
-    );
-    let pool = ServePool::new(Arc::clone(&engine), ServeConfig::auto()).expect("pool builds");
+    // No config is malformed: both zeros resolve, and the queue is
+    // bounded at four slots per worker.
+    let pool = ServePool::new(Arc::clone(&engine), ServeConfig::default()).expect("pool builds");
+    assert!(pool.workers() >= 1);
+    assert_eq!(pool.queue_capacity(), 4 * pool.workers());
+    assert_eq!(pool.config().workers, pool.workers());
     // Claiming 3 images while providing 2 images' worth of patches.
     let two = test.patches(&[0, 1], 4);
-    assert!(pool.run(&[ServeRequest::new(two.clone(), 3)]).is_err());
-    assert!(pool.run_batch(&two, 3).is_err());
-    assert!(pool.submit(ServeRequest::new(two.clone(), 3)).is_err());
+    let err = pool.submit(ServeRequest::new(two.clone(), 3)).map(|_| ()).unwrap_err();
+    assert!(matches!(err, ScError::InvalidParam { name: "request", .. }), "got {err:?}");
+    assert!(pool.try_submit(ServeRequest::new(two.clone(), 3)).is_err());
+    assert_eq!(pool.queued(), 0, "a rejected request is never counted");
     // A rejected request must not poison the pool for valid ones.
     let serial = engine.forward(&two, 2).expect("serial forward");
-    let outcome = pool.run(&[ServeRequest::new(two, 2)]).expect("valid run after reject");
-    assert_bit_identical(&outcome.logits[0], &serial, "pool healthy after rejection");
+    let (logits, _timing) = pool
+        .submit(ServeRequest::new(two, 2))
+        .and_then(|handle| handle.collect())
+        .expect("valid run after reject");
+    assert_bit_identical(&logits, &serial, "pool healthy after rejection");
 }
