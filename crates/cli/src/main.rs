@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ascend::engine::{EngineConfig, ScEngine};
-use ascend::serve::ServeRequest;
+use ascend::serve::{ServeConfig, ServeRequest};
 use ascend::{BackendKind, Session};
 use ascend_tensor::Tensor;
 use ascend_io::format::Artifact;
@@ -55,12 +55,11 @@ SUBCOMMANDS:
     serve    Run the persistent serving pool on a saved artifact
              --engine PATH (required; engine artifact, or checkpoint)
              --backend sc|ref (sc)  --requests 8  --images 4
-             --workers 0 (auto)  --queue-depth 2 (0 = 4 × workers)
+             --workers 0 (auto)  --queue-depth 0 (0 = 4 × workers)
              --rounds 1 (repeated rounds reuse one worker pool)
              --data-seed 7
              With --listen ADDR:PORT, serve over HTTP/1.1 instead of the
-             built-in smoke traffic (port 0 picks a free port; there
-             --queue-depth defaults to 0, i.e. 4 × workers):
+             built-in smoke traffic (port 0 picks a free port):
              --listen 127.0.0.1:8080  --conn-workers 4
              --keep-alive-requests 1024
              --port-file PATH (write the bound address for scripts)
@@ -402,10 +401,9 @@ fn cmd_serve(flags: Flags) -> Result<(), CliError> {
     }
     let engine_path = PathBuf::from(flags.require("engine")?);
     let backend = parse_backend(&flags)?;
+    let serve = parse_serve_config(&flags)?;
     let requests: usize = flags.get_parsed("requests", 8)?;
     let images: usize = flags.get_parsed("images", 4)?;
-    let workers: usize = flags.get_parsed("workers", 0)?;
-    let queue_depth: usize = flags.get_parsed("queue-depth", 2)?;
     let rounds: usize = flags.get_parsed("rounds", 1)?;
     let data_seed: u64 = flags.get_parsed("data-seed", 7)?;
     flags.reject_unknown()?;
@@ -418,8 +416,8 @@ fn cmd_serve(flags: Flags) -> Result<(), CliError> {
     let session = Session::builder()
         .artifact(&engine_path)
         .backend(backend)
-        .workers(workers)
-        .queue_depth(queue_depth)
+        .workers(serve.workers)
+        .queue_depth(serve.queue_depth)
         .build()?;
     let cfg = *session.backend().vit_config();
     let n = requests * images;
@@ -498,6 +496,39 @@ fn bit_identical(a: &[Tensor], b: &[Tensor]) -> bool {
     bits(a) == bits(b)
 }
 
+/// `--workers` (0 = auto) and `--queue-depth` (0 = 4 × workers), with
+/// the same defaults in every serve mode.
+fn parse_serve_config(flags: &Flags) -> Result<ServeConfig, CliError> {
+    Ok(ServeConfig {
+        workers: flags.get_parsed("workers", 0)?,
+        queue_depth: flags.get_parsed("queue-depth", 0)?,
+    })
+}
+
+/// The flags both `serve --listen` modes share, parsed once.
+struct HttpServeFlags {
+    backend: BackendKind,
+    serve: ServeConfig,
+    http: ascend_http::HttpConfig,
+    port_file: Option<PathBuf>,
+    duration_secs: u64,
+}
+
+impl HttpServeFlags {
+    fn parse(flags: &Flags) -> Result<Self, CliError> {
+        let mut http = ascend_http::HttpConfig::new(flags.require("listen")?.to_string());
+        http.conn_workers = flags.get_parsed("conn-workers", 4)?;
+        http.keep_alive_requests = flags.get_parsed("keep-alive-requests", 1024)?;
+        Ok(HttpServeFlags {
+            backend: parse_backend(flags)?,
+            serve: parse_serve_config(flags)?,
+            http,
+            port_file: flags.get("port-file").map(PathBuf::from),
+            duration_secs: flags.get_parsed("duration-secs", 0)?,
+        })
+    }
+}
+
 /// `serve --listen ADDR:PORT`: the HTTP/1.1 front-end over the session's
 /// persistent pool — non-blocking admission, load shedding with `503
 /// Retry-After`, live `/metrics`, graceful drain.
@@ -507,35 +538,25 @@ fn bit_identical(a: &[Tensor], b: &[Tensor]) -> bool {
 /// cold until its first `POST /v1/models/{name}/infer`, and an optional
 /// `--memory-budget-mb` bounds total residency via LRU eviction.
 fn cmd_serve_http(flags: Flags) -> Result<(), CliError> {
-    use ascend_http::{HttpConfig, HttpServer};
+    use ascend_http::HttpServer;
 
     if !flags.get_all("artifact").is_empty() {
         return cmd_serve_http_registry(flags);
     }
     let engine_path = PathBuf::from(flags.require("engine")?);
-    let backend = parse_backend(&flags)?;
-    let listen = flags.require("listen")?.to_string();
-    let workers: usize = flags.get_parsed("workers", 0)?;
-    let queue_depth: usize = flags.get_parsed("queue-depth", 0)?;
-    let conn_workers: usize = flags.get_parsed("conn-workers", 4)?;
-    let keep_alive_requests: usize = flags.get_parsed("keep-alive-requests", 1024)?;
-    let port_file = flags.get("port-file").map(PathBuf::from);
-    let duration_secs: u64 = flags.get_parsed("duration-secs", 0)?;
+    let opts = HttpServeFlags::parse(&flags)?;
     flags.reject_unknown()?;
 
     let session = std::sync::Arc::new(
         Session::builder()
             .artifact(&engine_path)
-            .backend(backend)
-            .workers(workers)
-            .queue_depth(queue_depth)
+            .backend(opts.backend)
+            .workers(opts.serve.workers)
+            .queue_depth(opts.serve.queue_depth)
             .build()?,
     );
 
-    let mut http = HttpConfig::new(listen);
-    http.conn_workers = conn_workers;
-    http.keep_alive_requests = keep_alive_requests;
-    let server = HttpServer::bind(std::sync::Arc::clone(&session), http)?;
+    let server = HttpServer::bind(std::sync::Arc::clone(&session), opts.http.clone())?;
     let addr = server.local_addr();
     let pool = session.runner()?;
     println!(
@@ -544,15 +565,15 @@ fn cmd_serve_http(flags: Flags) -> Result<(), CliError> {
         session.backend().name(),
         pool.workers(),
         pool.queue_capacity(),
-        conn_workers,
+        opts.http.conn_workers,
     );
-    run_http_server(server, port_file, duration_secs)
+    run_http_server(server, opts.port_file, opts.duration_secs)
 }
 
 /// Multi-model `serve --listen`: every `--artifact name=path` registers a
 /// lazily-warmed model behind `POST /v1/models/{name}/infer`.
 fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
-    use ascend_http::{HttpConfig, HttpServer};
+    use ascend_http::HttpServer;
     use ascend_registry::{ModelRegistry, ModelSpec, RegistryConfig};
 
     let mut models: Vec<(String, PathBuf)> = Vec::new();
@@ -576,31 +597,20 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
                 .into(),
         ));
     }
-    let backend = parse_backend(&flags)?;
-    let listen = flags.require("listen")?.to_string();
-    let workers: usize = flags.get_parsed("workers", 0)?;
-    let queue_depth: usize = flags.get_parsed("queue-depth", 0)?;
-    let conn_workers: usize = flags.get_parsed("conn-workers", 4)?;
-    let keep_alive_requests: usize = flags.get_parsed("keep-alive-requests", 1024)?;
-    let port_file = flags.get("port-file").map(PathBuf::from);
-    let duration_secs: u64 = flags.get_parsed("duration-secs", 0)?;
+    let opts = HttpServeFlags::parse(&flags)?;
     let memory_budget_mb: usize = flags.get_parsed("memory-budget-mb", 0)?;
     flags.reject_unknown()?;
 
-    let serve = ascend::serve::ServeConfig { workers, queue_depth };
     let registry = std::sync::Arc::new(ModelRegistry::new(RegistryConfig {
         memory_budget_bytes: memory_budget_mb.saturating_mul(1024 * 1024),
         ..Default::default()
     }));
     for (name, path) in &models {
-        registry
-            .register(ModelSpec::artifact(name.as_str(), path.as_path()).backend(backend).serve(serve))?;
+        let spec = ModelSpec::artifact(name.as_str(), path.as_path());
+        registry.register(spec.backend(opts.backend).serve(opts.serve))?;
     }
 
-    let mut http = HttpConfig::new(listen);
-    http.conn_workers = conn_workers;
-    http.keep_alive_requests = keep_alive_requests;
-    let server = HttpServer::bind_registry(std::sync::Arc::clone(&registry), http)?;
+    let server = HttpServer::bind_registry(std::sync::Arc::clone(&registry), opts.http.clone())?;
     let addr = server.local_addr();
     println!(
         "serving {} models over http on {addr} — POST /v1/models/{{name}}/infer, \
@@ -611,12 +621,12 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
         } else {
             format!("{memory_budget_mb} MiB")
         },
-        conn_workers,
+        opts.http.conn_workers,
     );
     for (name, path) in &models {
         println!("  model `{name}` <- {} (cold; warms on first request)", path.display());
     }
-    run_http_server(server, port_file, duration_secs)
+    run_http_server(server, opts.port_file, opts.duration_secs)
 }
 
 /// Shared tail of both HTTP serving modes: publish the bound address for

@@ -1,8 +1,12 @@
-//! `ascend-cli serve --listen` with the default `--duration-secs 0` runs
-//! until the process is killed: the server must still answer well after
-//! start-up, not drain the moment the port file is written.
+//! `ascend-cli serve` driven as a subprocess.
+//!
+//! `serve --listen` with the default `--duration-secs 0` runs until the
+//! process is killed: the server must still answer well after start-up,
+//! not drain the moment the port file is written. And `--queue-depth`
+//! has one default in every serve mode: 0, i.e. 4 × workers.
 
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -19,9 +23,10 @@ impl Drop for KillOnDrop {
     }
 }
 
-#[test]
-fn serve_listen_runs_until_killed_by_default() {
-    let dir = std::env::temp_dir().join(format!("ascend-cli-listen-{}", std::process::id()));
+/// A fresh temp dir named after `tag`, holding the tiny fixture model as
+/// `model.ckpt`.
+fn model_dir(tag: &str) -> (PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("ascend-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let mut recipe = FixtureRecipe::tiny("cli-serve-listen", 3);
     recipe.n_train = 32;
@@ -31,6 +36,26 @@ fn serve_listen_runs_until_killed_by_default() {
     let (ckpt, _, _) = checkpoint_or_load(&recipe);
     let model = dir.join("model.ckpt");
     ckpt.save(&model).expect("checkpoint saves");
+    (dir, model)
+}
+
+#[test]
+fn smoke_traffic_defaults_to_four_queue_slots_per_worker() {
+    let (dir, model) = model_dir("smoke-depth");
+    let out = Command::new(env!("CARGO_BIN_EXE_ascend-cli"))
+        .args(["serve", "--backend", "ref", "--workers", "2", "--requests", "2", "--images", "1"])
+        .arg("--engine")
+        .arg(&model)
+        .output()
+        .expect("run ascend-cli");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && stdout.contains("2 workers, queue depth 8"), "{out:?}");
+    std::fs::remove_dir_all(&dir).expect("clean up temp dir");
+}
+
+#[test]
+fn serve_listen_runs_until_killed_by_default() {
+    let (dir, model) = model_dir("listen");
     let port_file = dir.join("addr.txt");
 
     let started = Instant::now();

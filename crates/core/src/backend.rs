@@ -12,10 +12,11 @@
 //!   arithmetic, the iterative approximate softmax block, gate-assisted SI
 //!   GELU. The bit-level ground truth of the reproduction.
 //! * [`RefEngine`] — the **float reference** backend: the same
-//!   fake-quantized weights, folded BN affines, and quantizer steps, but
-//!   exact float softmax and float GELU. Orders of magnitude faster than
-//!   bit-level execution, and the golden oracle SC drift is measured
-//!   against (`tests/backend_parity.rs`).
+//!   fake-quantized weights, folded BN affines, and quantizer steps, run
+//!   through the same encoder function, but with exact float softmax and
+//!   float GELU. Orders of magnitude faster than bit-level execution, and
+//!   the golden oracle SC drift is measured against
+//!   (`tests/backend_parity.rs`).
 //! * [`FaultInjectingBackend`] — a composable decorator that flips
 //!   thermometer input bits at a configurable rate before delegating to any
 //!   inner backend: the fault-tolerance scenario as a wrapper, not a fork.
@@ -33,16 +34,12 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use ascend_obs::{NoopObserver, Stage, StageObserver};
+use ascend_obs::{NoopObserver, StageObserver};
 use ascend_tensor::Tensor;
-use ascend_vit::norm::Norm;
-use ascend_vit::{NormKind, VitModel};
+use ascend_vit::VitModel;
 use sc_core::ScError;
 
-use crate::engine::{
-    affine, assemble_sequence, fake_quant, linear, merge_heads, split_heads, ForwardScratch,
-    QuantLayerSnapshot, QuantLinear,
-};
+use crate::engine::{FloatUnits, ForwardScratch, FrozenNet};
 
 /// The execution contract every backend implements.
 ///
@@ -296,28 +293,22 @@ impl<B: InferenceBackend + ?Sized> InferenceBackend for std::sync::Arc<B> {
 
 /// The high-precision reference backend: the fake-quantized float path.
 ///
-/// `RefEngine` executes the *same* frozen network state as
-/// [`crate::ScEngine`] — pre-quantized weight matrices, folded BN affines,
-/// snapshotted quantizer steps — but replaces the two SC nonlinear blocks
-/// with their exact float counterparts: true softmax instead of the
-/// iterative approximate block, float GELU (fake-quantized at the MLP mid
-/// site) instead of the gate-assisted SI table. The remaining delta between
-/// the two backends is therefore precisely the paper's accuracy/efficiency
-/// trade: SC approximation and nothing else.
+/// `RefEngine` holds the *same* frozen network as [`crate::ScEngine`] —
+/// pre-quantized weight matrices, folded BN affines, snapshotted quantizer
+/// steps — and runs it through the *same* encoder function; only the two
+/// nonlinear units differ: true softmax instead of the iterative
+/// approximate block, float GELU (fake-quantized at the MLP mid site)
+/// instead of the gate-assisted SI table. Both the state and the dataflow
+/// are shared by construction, so the remaining delta between the two
+/// backends is precisely the paper's accuracy/efficiency trade: SC
+/// approximation and nothing else.
 ///
 /// Because no bit-level simulation or transfer-table lookup runs, reference
 /// sweeps are orders of magnitude faster than SC-exact execution — the
 /// backend to use for accuracy exploration, with [`crate::ScEngine`] as the
 /// final word.
 pub struct RefEngine {
-    vit: ascend_vit::VitConfig,
-    plan: ascend_vit::PrecisionPlan,
-    layers: Vec<QuantLayerSnapshot>,
-    head_affine: (Vec<f32>, Vec<f32>),
-    patch_embed: QuantLinear,
-    head: QuantLinear,
-    cls_token: Tensor,
-    pos_embedding: Tensor,
+    net: FrozenNet,
 }
 
 impl RefEngine {
@@ -332,33 +323,7 @@ impl RefEngine {
     /// per-channel affine folding requires BatchNorm, exactly as for the SC
     /// engine).
     pub fn compile(model: &VitModel) -> Result<Self, ScError> {
-        if model.config.norm != NormKind::Batch {
-            return Err(ScError::InvalidParam {
-                name: "model",
-                reason: "reference backend requires a BatchNorm model (paper §V LN→BN swap)"
-                    .into(),
-            });
-        }
-        let plan = model.plan();
-        let folded = |n: &Norm| n.folded_affine();
-        // The very same per-layer capture the SC engine compiles from —
-        // the "same frozen state" premise of `tests/backend_parity.rs` is
-        // held by construction, not by parallel maintenance.
-        let layers = model
-            .blocks()
-            .iter()
-            .map(|block| QuantLayerSnapshot::capture(block, &plan))
-            .collect();
-        Ok(RefEngine {
-            vit: model.config,
-            plan,
-            layers,
-            head_affine: folded(model.head_norm()),
-            patch_embed: QuantLinear::compile(model.patch_embed(), plan.weights),
-            head: QuantLinear::compile(model.head(), plan.weights),
-            cls_token: model.cls_token().clone(),
-            pos_embedding: model.pos_embedding().clone(),
-        })
+        Ok(RefEngine { net: FrozenNet::compile(model)? })
     }
 
     /// Compiles the reference backend from a persisted model checkpoint —
@@ -376,7 +341,7 @@ impl RefEngine {
 
     /// Number of compiled encoder layers.
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.net.layers.len()
     }
 }
 
@@ -386,20 +351,15 @@ impl InferenceBackend for RefEngine {
     }
 
     fn vit_config(&self) -> &ascend_vit::VitConfig {
-        &self.vit
+        &self.net.vit
     }
 
     fn plan(&self) -> &ascend_vit::PrecisionPlan {
-        &self.plan
+        &self.net.plan
     }
 
     fn resident_bytes(&self) -> usize {
-        let f32s = std::mem::size_of::<f32>();
-        self.layers.iter().map(QuantLayerSnapshot::resident_bytes).sum::<usize>()
-            + (self.head_affine.0.len() + self.head_affine.1.len()) * f32s
-            + self.patch_embed.resident_bytes()
-            + self.head.resident_bytes()
-            + (self.cls_token.numel() + self.pos_embedding.numel()) * f32s
+        self.net.resident_bytes()
     }
 
     fn forward_one(
@@ -408,58 +368,7 @@ impl InferenceBackend for RefEngine {
         _scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        let cfg = &self.vit;
-        let plan = &self.plan;
-        let (s, d, h, dh) = (cfg.seq_len(), cfg.dim, cfg.heads, cfg.head_dim());
-
-        observer.enter(Stage::PatchEmbed);
-        let tokens = linear(&patches, &self.patch_embed.w, &self.patch_embed.b);
-        let mut x = assemble_sequence(&tokens, &self.cls_token, &self.pos_embedding, 1, cfg);
-        observer.exit(Stage::PatchEmbed);
-
-        for lp in &self.layers {
-            // --- MSA with exact float softmax ---
-            observer.enter(Stage::Attention);
-            let n1 = affine(&x, &lp.norm1_affine);
-            let xq = fake_quant(&n1, lp.attn_in_step, plan.acts);
-            let q = split_heads(&linear(&xq, &lp.q.w, &lp.q.b), 1, s, h, dh);
-            let k = split_heads(&linear(&xq, &lp.k.w, &lp.k.b), 1, s, h, dh);
-            let v = split_heads(&linear(&xq, &lp.v.w, &lp.v.b), 1, s, h, dh);
-            let scores =
-                q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
-            observer.exit(Stage::Attention);
-            observer.enter(Stage::Softmax);
-            let probs = scores.softmax_last();
-            observer.exit(Stage::Softmax);
-            observer.enter(Stage::Attention);
-            let ctx = merge_heads(&probs.batched_matmul(&v), 1, s, h, dh);
-            let ctxq = fake_quant(&ctx, lp.attn_out_step, plan.acts);
-            let attn_out = linear(&ctxq, &lp.proj.w, &lp.proj.b);
-            x = fake_quant(&x.add(&attn_out), lp.res1_step, plan.residual);
-            observer.exit(Stage::Attention);
-
-            // --- MLP with float GELU, fake-quantized at the mid site ---
-            observer.enter(Stage::Mlp);
-            let n2 = affine(&x, &lp.norm2_affine);
-            let hq = fake_quant(&n2, lp.mlp_in_step, plan.acts);
-            let pre = linear(&hq, &lp.fc1.w, &lp.fc1.b);
-            observer.exit(Stage::Mlp);
-            observer.enter(Stage::Gelu);
-            let gelu = pre.map(ascend_tensor::graph::gelu_f);
-            observer.exit(Stage::Gelu);
-            observer.enter(Stage::Mlp);
-            let act = fake_quant(&gelu, lp.mlp_mid_step, plan.acts);
-            let out = linear(&act, &lp.fc2.w, &lp.fc2.b);
-            x = fake_quant(&x.add(&out), lp.res2_step, plan.residual);
-            observer.exit(Stage::Mlp);
-        }
-
-        observer.enter(Stage::Head);
-        let hn = affine(&x, &self.head_affine);
-        let cls = hn.reshape(&[1, s, d]).select_axis1(0);
-        let logits = linear(&cls, &self.head.w, &self.head.b).into_data();
-        observer.exit(Stage::Head);
-        Ok(logits)
+        self.net.forward_one(&patches, &mut FloatUnits(&self.net), observer)
     }
 }
 

@@ -25,9 +25,8 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use ascend_obs::{Stage, StageObserver};
+use ascend_obs::{NoopObserver, Stage, StageObserver};
 use ascend_tensor::Tensor;
-use ascend_vit::norm::Norm;
 use ascend_vit::{NormKind, VitModel};
 use sc_core::rescale::RescaleMode;
 use sc_core::ScError;
@@ -83,7 +82,7 @@ impl EngineConfig {
 ///
 /// Weight quantization is purely a function of the trained parameters and
 /// the precision plan, so the quantized matrices are materialized once at
-/// [`ScEngine::compile`] time instead of on every forward call.
+/// compile time instead of on every forward call.
 pub(crate) struct QuantLinear {
     pub(crate) w: Tensor,
     pub(crate) b: Tensor,
@@ -107,11 +106,12 @@ impl QuantLinear {
 /// affines, pre-quantized linears, and the quantizer step sizes snapshot
 /// from the model's sites.
 ///
-/// This is **the** definition of "same frozen state" that the SC engine
-/// and the float reference share — both compile paths capture layers
-/// through [`QuantLayerSnapshot::capture`], so a change to a quantization
-/// site or to affine folding can never reach one backend and not the
-/// other (`tests/backend_parity.rs` rests on that).
+/// Captured only through [`QuantLayerSnapshot::capture`] and held only by
+/// [`FrozenNet`], so the SC engine, the float reference and the
+/// calibration probe run the same state through the same dataflow: a
+/// change to a quantization site, to affine folding or to the encoder's op
+/// order can never reach one of them and not the others
+/// (`tests/backend_parity.rs` rests on that).
 pub(crate) struct QuantLayerSnapshot {
     pub(crate) norm1_affine: (Vec<f32>, Vec<f32>),
     pub(crate) norm2_affine: (Vec<f32>, Vec<f32>),
@@ -171,11 +171,159 @@ impl QuantLayerSnapshot {
     }
 }
 
-/// Per-layer compiled artifacts of the SC engine: the shared frozen
-/// snapshot plus the SC-only GELU transfer table.
-pub(crate) struct LayerPlan {
-    pub(crate) snap: QuantLayerSnapshot,
-    pub(crate) gelu: GateAssistedSi,
+/// The two nonlinear units of the encoder — the only place the SC engine,
+/// the float reference and the calibration probe differ.
+/// [`FrozenNet::encode`] is generic over it, so each backend's forward is
+/// statically dispatched.
+pub(crate) trait Nonlinearity {
+    /// Row softmax over `[n, s, s]` attention scores.
+    fn softmax(&mut self, scores: Tensor) -> Result<Tensor, ScError>;
+
+    /// Layer `layer`'s GELU over its fc1 output, landing on the fc2 input
+    /// grid (the MLP mid quantizer site).
+    fn gelu(&mut self, layer: usize, pre: &Tensor) -> Tensor;
+}
+
+/// Exact float softmax, then float GELU fake-quantized at the mid site —
+/// the units of [`crate::RefEngine`] and of the calibration probe.
+pub(crate) struct FloatUnits<'a>(pub(crate) &'a FrozenNet);
+
+impl Nonlinearity for FloatUnits<'_> {
+    fn softmax(&mut self, scores: Tensor) -> Result<Tensor, ScError> {
+        Ok(scores.softmax_last())
+    }
+
+    fn gelu(&mut self, layer: usize, pre: &Tensor) -> Tensor {
+        let net = self.0;
+        fake_quant(&pre.map(ascend_tensor::graph::gelu_f), net.layers[layer].mlp_mid_step, net.plan.acts)
+    }
+}
+
+/// The frozen network both engine backends execute: geometry, plan,
+/// per-layer snapshots, the head affine, the patch-embedding and
+/// classifier linears, and the cls/positional tokens. [`ScEngine`] adds
+/// only its nonlinear blocks; [`crate::RefEngine`] adds nothing.
+pub(crate) struct FrozenNet {
+    pub(crate) vit: ascend_vit::VitConfig,
+    pub(crate) plan: ascend_vit::PrecisionPlan,
+    pub(crate) layers: Vec<QuantLayerSnapshot>,
+    pub(crate) head_affine: (Vec<f32>, Vec<f32>),
+    pub(crate) patch_embed: QuantLinear,
+    pub(crate) head: QuantLinear,
+    pub(crate) cls_token: Tensor,
+    pub(crate) pos_embedding: Tensor,
+}
+
+impl FrozenNet {
+    /// Snapshots a trained model under its plan; the model is not retained.
+    ///
+    /// # Errors
+    ///
+    /// [`ScError::InvalidParam`] for a LayerNorm model: the per-channel
+    /// affine folding needs BatchNorm (see module docs).
+    pub(crate) fn compile(model: &VitModel) -> Result<Self, ScError> {
+        if model.config.norm != NormKind::Batch {
+            let reason = "the engine backends require a BatchNorm model (paper §V LN→BN swap)";
+            return Err(ScError::InvalidParam { name: "model", reason: reason.into() });
+        }
+        let plan = model.plan();
+        Ok(FrozenNet {
+            vit: model.config,
+            plan,
+            layers: model.blocks().iter().map(|b| QuantLayerSnapshot::capture(b, &plan)).collect(),
+            head_affine: model.head_norm().folded_affine(),
+            patch_embed: QuantLinear::compile(model.patch_embed(), plan.weights),
+            head: QuantLinear::compile(model.head(), plan.weights),
+            cls_token: model.cls_token().clone(),
+            pos_embedding: model.pos_embedding().clone(),
+        })
+    }
+
+    /// Bytes of every materialized buffer.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        let f32s = std::mem::size_of::<f32>();
+        self.layers.iter().map(QuantLayerSnapshot::resident_bytes).sum::<usize>()
+            + (self.head_affine.0.len() + self.head_affine.1.len()) * f32s
+            + self.patch_embed.resident_bytes()
+            + self.head.resident_bytes()
+            + (self.cls_token.numel() + self.pos_embedding.numel()) * f32s
+    }
+
+    /// The encoder dataflow, the one copy in the workspace: `batch` images'
+    /// `[batch·num_patches, patch_dim]` patches in, the `[batch·seq, dim]`
+    /// residual stream out, with `units` as softmax and GELU. Emits
+    /// clock-free [`StageObserver`] events around each stage (the paper's
+    /// fig. 8 cost-split axes). Panics, like its tensor ops, on a
+    /// mis-shaped `patches`; the batched entry points validate sizes first.
+    pub(crate) fn encode<U: Nonlinearity>(
+        &self,
+        patches: &Tensor,
+        batch: usize,
+        units: &mut U,
+        observer: &mut dyn StageObserver,
+    ) -> Result<Tensor, ScError> {
+        let cfg = &self.vit;
+        let plan = &self.plan;
+        let (s, h, dh) = (cfg.seq_len(), cfg.heads, cfg.head_dim());
+
+        observer.enter(Stage::PatchEmbed);
+        let tokens = linear(patches, &self.patch_embed.w, &self.patch_embed.b);
+        let mut x = assemble_sequence(&tokens, &self.cls_token, &self.pos_embedding, batch, cfg);
+        observer.exit(Stage::PatchEmbed);
+
+        for (li, sn) in self.layers.iter().enumerate() {
+            // --- MSA (softmax carved out as its own stage) ---
+            observer.enter(Stage::Attention);
+            let n1 = affine(&x, &sn.norm1_affine);
+            let xq = fake_quant(&n1, sn.attn_in_step, plan.acts);
+            let [q, k, v] = [&sn.q, &sn.k, &sn.v]
+                .map(|lin| split_heads(&linear(&xq, &lin.w, &lin.b), batch, s, h, dh));
+            let scores = q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
+            observer.exit(Stage::Attention);
+            observer.enter(Stage::Softmax);
+            let probs = units.softmax(scores)?;
+            observer.exit(Stage::Softmax);
+            observer.enter(Stage::Attention);
+            let ctx = merge_heads(&probs.batched_matmul(&v), batch, s, h, dh);
+            let ctxq = fake_quant(&ctx, sn.attn_out_step, plan.acts);
+            let attn_out = linear(&ctxq, &sn.proj.w, &sn.proj.b);
+            x = fake_quant(&x.add(&attn_out), sn.res1_step, plan.residual);
+            observer.exit(Stage::Attention);
+
+            // --- MLP (GELU carved out as its own stage) ---
+            observer.enter(Stage::Mlp);
+            let n2 = affine(&x, &sn.norm2_affine);
+            let hq = fake_quant(&n2, sn.mlp_in_step, plan.acts);
+            let pre = linear(&hq, &sn.fc1.w, &sn.fc1.b);
+            observer.exit(Stage::Mlp);
+            observer.enter(Stage::Gelu);
+            let act = units.gelu(li, &pre);
+            observer.exit(Stage::Gelu);
+            observer.enter(Stage::Mlp);
+            let out = linear(&act, &sn.fc2.w, &sn.fc2.b);
+            x = fake_quant(&x.add(&out), sn.res2_step, plan.residual);
+            observer.exit(Stage::Mlp);
+        }
+        Ok(x)
+    }
+
+    /// One image through [`FrozenNet::encode`] and the classifier head
+    /// (its own stage): the whole per-image forward of both engine
+    /// backends.
+    pub(crate) fn forward_one<U: Nonlinearity>(
+        &self,
+        patches: &Tensor,
+        units: &mut U,
+        observer: &mut dyn StageObserver,
+    ) -> Result<Vec<f32>, ScError> {
+        let x = self.encode(patches, 1, units, observer)?;
+        observer.enter(Stage::Head);
+        let hn = affine(&x, &self.head_affine);
+        let cls = hn.reshape(&[1, self.vit.seq_len(), self.vit.dim]).select_axis1(0);
+        let logits = linear(&cls, &self.head.w, &self.head.b).into_data();
+        observer.exit(Stage::Head);
+        Ok(logits)
+    }
 }
 
 /// The compiled SC inference engine.
@@ -188,16 +336,11 @@ pub(crate) struct LayerPlan {
 /// and the [`crate::serve`] runtime fans a request queue out over a worker
 /// pool sharing one engine by reference — no cloning, no locking.
 pub struct ScEngine {
-    pub(crate) vit: ascend_vit::VitConfig,
-    pub(crate) plan: ascend_vit::PrecisionPlan,
+    pub(crate) net: FrozenNet,
     pub(crate) config: EngineConfig,
     pub(crate) softmax: IterSoftmaxBlock,
-    pub(crate) layers: Vec<LayerPlan>,
-    pub(crate) head_affine: (Vec<f32>, Vec<f32>),
-    pub(crate) patch_embed: QuantLinear,
-    pub(crate) head: QuantLinear,
-    pub(crate) cls_token: Tensor,
-    pub(crate) pos_embedding: Tensor,
+    /// One gate-assisted-SI GELU table per encoder layer.
+    pub(crate) gelu: Vec<GateAssistedSi>,
 }
 
 /// Reusable per-thread scratch buffers for
@@ -239,31 +382,26 @@ impl ScEngine {
         calib_patches: &Tensor,
         calib_batch: usize,
     ) -> Result<Self, ScError> {
-        if model.config.norm != NormKind::Batch {
-            return Err(ScError::InvalidParam {
-                name: "model",
-                reason: "SC engine requires a BatchNorm model (paper §V LN→BN swap)".into(),
-            });
-        }
-        let seq = model.config.seq_len();
+        // After this the engine never touches the model again.
+        let net = FrozenNet::compile(model)?;
 
         // Calibrate: observe attention-score and GELU-input magnitudes with
-        // a float probe pass.
-        let probe = Probe::collect(model, calib_patches, calib_batch);
+        // a float pass of the frozen network.
+        let probe = Probe::collect(&net, calib_patches, calib_batch)?;
 
         // Softmax block: αx sized so Bx/2 levels cover the observed score
         // range; αy sized so By/2 levels cover [0, 1]. The requested s1/s2
         // were chosen for the paper's m = 64; for other row lengths the
         // engine degrades them to the nearest feasible rates (divisibility
         // of the internal stream widths).
-        let ax = (2.0 * probe.score_scale.max(0.5) / config.softmax_bx as f64).max(1e-3);
+        let ax = (2.0 * probe.score_scale().max(0.5) / config.softmax_bx as f64).max(1e-3);
         // Circuit-aware αy calibration: try the DSE's scale options and keep
         // the one with the lowest MAE on the probed attention rows.
         let base_ay = 2.0 / config.softmax_by as f64;
         let mut softmax: Option<(f64, IterSoftmaxBlock)> = None;
         for mult in [0.25, 0.5, 1.0] {
             let candidate = feasible_softmax(IterSoftmaxConfig {
-                m: seq,
+                m: net.vit.seq_len(),
                 k: config.softmax_k,
                 bx: config.softmax_bx,
                 ax,
@@ -307,34 +445,21 @@ impl ScEngine {
             })?
             .1;
 
-        // Per-layer folded affines, GELU tables, pre-quantized weights, and
-        // quantizer-step snapshots: after this loop the engine never touches
-        // the model again.
-        let plan = model.plan();
-        let mut layers = Vec::with_capacity(model.blocks().len());
-        for (li, block) in model.blocks().iter().enumerate() {
-            let snap = QuantLayerSnapshot::capture(block, &plan);
-            let gelu_in =
-                Thermometer::with_range(config.gelu_bx, probe.gelu_absmax[li].max(0.5))?;
-            let act_bsl = plan.acts.unwrap_or(16);
-            let gelu_out = Thermometer::new(act_bsl, snap.mlp_mid_step as f64)?;
-            let gelu = GateAssistedSi::compile(ref_fn::gelu, gelu_in, gelu_out)?;
-            layers.push(LayerPlan { snap, gelu });
-        }
-        let head_affine = folded(model.head_norm());
+        // Per-layer GELU tables: wide input codec over the probed range,
+        // output on the MLP mid-site grid.
+        let act_bsl = net.plan.acts.unwrap_or(16);
+        let gelu = net
+            .layers
+            .iter()
+            .zip(&probe.gelu_absmax)
+            .map(|(sn, absmax)| {
+                let gelu_in = Thermometer::with_range(config.gelu_bx, absmax.max(0.5))?;
+                let gelu_out = Thermometer::new(act_bsl, sn.mlp_mid_step as f64)?;
+                GateAssistedSi::compile(ref_fn::gelu, gelu_in, gelu_out)
+            })
+            .collect::<Result<Vec<_>, ScError>>()?;
 
-        Ok(ScEngine {
-            vit: model.config,
-            plan,
-            config,
-            softmax,
-            layers,
-            head_affine,
-            patch_embed: QuantLinear::compile(model.patch_embed(), plan.weights),
-            head: QuantLinear::compile(model.head(), plan.weights),
-            cls_token: model.cls_token().clone(),
-            pos_embedding: model.pos_embedding().clone(),
-        })
+        Ok(ScEngine { net, config, softmax, gelu })
     }
 
     /// The engine configuration.
@@ -344,12 +469,12 @@ impl ScEngine {
 
     /// The precision plan the engine was compiled at.
     pub fn plan(&self) -> &ascend_vit::PrecisionPlan {
-        &self.plan
+        &self.net.plan
     }
 
     /// Number of compiled encoder layers.
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.net.layers.len()
     }
 
     /// The compiled softmax block (e.g. for hardware costing).
@@ -359,42 +484,50 @@ impl ScEngine {
 
     /// The compiled per-layer GELU blocks.
     pub fn gelu_blocks(&self) -> Vec<&GateAssistedSi> {
-        self.layers.iter().map(|l| &l.gelu).collect()
+        self.gelu.iter().collect()
     }
 
     /// The ViT geometry the engine was compiled for.
     pub fn vit_config(&self) -> &ascend_vit::VitConfig {
-        &self.vit
+        &self.net.vit
     }
+}
 
-    /// Applies the SC softmax block to every row of `[n, s, s]` scores,
-    /// staging each row through the caller-provided scratch buffer.
-    fn sc_softmax_rows(&self, scores: &mut Tensor, row_buf: &mut Vec<f64>) -> Result<(), ScError> {
-        let shape = scores.shape().to_vec();
-        let s = shape[2];
+/// The SC engine's nonlinear units: the iterative softmax block over rows
+/// staged through the caller's scratch buffer, and the per-layer
+/// gate-assisted-SI GELU tables.
+struct ScUnits<'a> {
+    softmax: &'a IterSoftmaxBlock,
+    gelu: &'a [GateAssistedSi],
+    row_buf: &'a mut Vec<f64>,
+}
+
+impl Nonlinearity for ScUnits<'_> {
+    fn softmax(&mut self, mut scores: Tensor) -> Result<Tensor, ScError> {
+        let s = scores.shape()[2];
         let rows = scores.numel() / s;
         let data = scores.data_mut();
-        row_buf.resize(s, 0.0);
+        self.row_buf.resize(s, 0.0);
         for r in 0..rows {
-            for (b, v) in row_buf.iter_mut().zip(&data[r * s..(r + 1) * s]) {
+            for (b, v) in self.row_buf.iter_mut().zip(&data[r * s..(r + 1) * s]) {
                 *b = *v as f64;
             }
-            let y = self.softmax.run_levels(row_buf)?;
+            let y = self.softmax.run_levels(self.row_buf)?;
             for (dst, v) in data[r * s..(r + 1) * s].iter_mut().zip(y.iter()) {
                 *dst = *v as f32;
             }
         }
-        Ok(())
+        Ok(scores)
     }
 
-    /// Applies the compiled gate-SI GELU transfer elementwise.
-    fn sc_gelu(&self, x: &Tensor, block: &GateAssistedSi) -> Tensor {
+    fn gelu(&mut self, layer: usize, pre: &Tensor) -> Tensor {
+        let block = &self.gelu[layer];
         let table = block.ones_table();
         let in_scale = block.input().scale();
         let in_half = (block.input().len() / 2) as f64;
         let out_scale = block.output().scale();
         let out_half = (block.output().len() / 2) as i64;
-        x.map(|v| {
+        pre.map(|v| {
             let t = ((v as f64 / in_scale).round().clamp(-in_half, in_half) + in_half) as usize;
             (out_scale * (table[t] as i64 - out_half) as f64) as f32
         })
@@ -407,105 +540,33 @@ impl crate::backend::InferenceBackend for ScEngine {
     }
 
     fn vit_config(&self) -> &ascend_vit::VitConfig {
-        &self.vit
+        &self.net.vit
     }
 
     fn plan(&self) -> &ascend_vit::PrecisionPlan {
-        &self.plan
+        &self.net.plan
     }
 
     fn resident_bytes(&self) -> usize {
-        let f32s = std::mem::size_of::<f32>();
-        let layers: usize = self
-            .layers
-            .iter()
-            .map(|lp| {
-                lp.snap.resident_bytes() + std::mem::size_of_val(lp.gelu.ones_table())
-            })
-            .sum();
-        layers
-            + (self.head_affine.0.len() + self.head_affine.1.len()) * f32s
-            + self.patch_embed.resident_bytes()
-            + self.head.resident_bytes()
-            + (self.cls_token.numel() + self.pos_embedding.numel()) * f32s
+        self.net.resident_bytes()
+            + self.gelu.iter().map(|g| std::mem::size_of_val(g.ones_table())).sum::<usize>()
     }
 
     fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch { softmax_row: vec![0.0f64; self.vit.seq_len()] }
+        ForwardScratch { softmax_row: vec![0.0f64; self.net.vit.seq_len()] }
     }
 
-    /// Runs SC inference for one image. Emits [`StageObserver`]
-    /// `enter`/`exit` pairs around patch embedding, per-layer attention
-    /// linear algebra, the SC softmax, the SC GELU, the MLP linear algebra,
-    /// and the head — the paper's fig. 8 cost-split axes. The compute
-    /// itself never reads a clock (events carry no timestamps).
-    ///
-    /// # Panics
-    ///
-    /// Panics (like the tensor ops it is built from) if `patches` is not
-    /// `[num_patches, patch_dim]`; the batched
-    /// [`InferenceBackend`](crate::backend::InferenceBackend) entry points
-    /// validate sizes and return [`ScError::InvalidParam`] instead.
+    /// The shared encoder forward, with the SC softmax block and GELU tables
+    /// as its nonlinear units.
     fn forward_one(
         &self,
         patches: Tensor,
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        let cfg = &self.vit;
-        let plan = &self.plan;
-        let (s, d, h, dh) = (cfg.seq_len(), cfg.dim, cfg.heads, cfg.head_dim());
-
-        // Patch embedding (+ cls, + pos), then the residual grid.
-        observer.enter(Stage::PatchEmbed);
-        let tokens = linear(&patches, &self.patch_embed.w, &self.patch_embed.b);
-        let mut x = assemble_sequence(&tokens, &self.cls_token, &self.pos_embedding, 1, cfg);
-        observer.exit(Stage::PatchEmbed);
-
-        for lp in &self.layers {
-            let sn = &lp.snap;
-            // --- MSA (softmax carved out as its own stage) ---
-            observer.enter(Stage::Attention);
-            let n1 = affine(&x, &sn.norm1_affine);
-            let xq = fake_quant(&n1, sn.attn_in_step, plan.acts);
-            let q = split_heads(&linear(&xq, &sn.q.w, &sn.q.b), 1, s, h, dh);
-            let k = split_heads(&linear(&xq, &sn.k.w, &sn.k.b), 1, s, h, dh);
-            let v = split_heads(&linear(&xq, &sn.v.w, &sn.v.b), 1, s, h, dh);
-            let mut scores =
-                q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
-            observer.exit(Stage::Attention);
-            observer.enter(Stage::Softmax);
-            self.sc_softmax_rows(&mut scores, &mut scratch.softmax_row)?;
-            observer.exit(Stage::Softmax);
-            observer.enter(Stage::Attention);
-            let ctx = merge_heads(&scores.batched_matmul(&v), 1, s, h, dh);
-            let ctxq = fake_quant(&ctx, sn.attn_out_step, plan.acts);
-            let attn_out = linear(&ctxq, &sn.proj.w, &sn.proj.b);
-            x = fake_quant(&x.add(&attn_out), sn.res1_step, plan.residual);
-            observer.exit(Stage::Attention);
-
-            // --- MLP with gate-assisted SI GELU ---
-            observer.enter(Stage::Mlp);
-            let n2 = affine(&x, &sn.norm2_affine);
-            let hq = fake_quant(&n2, sn.mlp_in_step, plan.acts);
-            let pre = linear(&hq, &sn.fc1.w, &sn.fc1.b);
-            observer.exit(Stage::Mlp);
-            observer.enter(Stage::Gelu);
-            let act = self.sc_gelu(&pre, &lp.gelu);
-            observer.exit(Stage::Gelu);
-            observer.enter(Stage::Mlp);
-            let out = linear(&act, &sn.fc2.w, &sn.fc2.b);
-            x = fake_quant(&x.add(&out), sn.res2_step, plan.residual);
-            observer.exit(Stage::Mlp);
-        }
-
-        // Head.
-        observer.enter(Stage::Head);
-        let hn = affine(&x, &self.head_affine);
-        let cls = hn.reshape(&[1, s, d]).select_axis1(0);
-        let logits = linear(&cls, &self.head.w, &self.head.b).into_data();
-        observer.exit(Stage::Head);
-        Ok(logits)
+        let mut units =
+            ScUnits { softmax: &self.softmax, gelu: &self.gelu, row_buf: &mut scratch.softmax_row };
+        self.net.forward_one(&patches, &mut units, observer)
     }
 }
 
@@ -536,7 +597,7 @@ fn feasible_softmax(mut cfg: IterSoftmaxConfig) -> Result<IterSoftmaxBlock, ScEr
 }
 
 /// Eval-mode LSQ: `round(clamp(x/s, −L/2, L/2))·s`, or pass-through in FP.
-pub(crate) fn fake_quant(x: &Tensor, step: f32, bsl: Option<usize>) -> Tensor {
+fn fake_quant(x: &Tensor, step: f32, bsl: Option<usize>) -> Tensor {
     match bsl {
         None => x.clone(),
         Some(l) => {
@@ -546,7 +607,7 @@ pub(crate) fn fake_quant(x: &Tensor, step: f32, bsl: Option<usize>) -> Tensor {
     }
 }
 
-pub(crate) fn linear(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
+fn linear(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     let mut out = x.matmul(w);
     let (n, m) = (out.shape()[0], out.shape()[1]);
     for i in 0..n {
@@ -557,7 +618,7 @@ pub(crate) fn linear(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-pub(crate) fn affine(x: &Tensor, (scale, shift): &(Vec<f32>, Vec<f32>)) -> Tensor {
+fn affine(x: &Tensor, (scale, shift): &(Vec<f32>, Vec<f32>)) -> Tensor {
     let (n, m) = (x.shape()[0], x.shape()[1]);
     let mut out = x.clone();
     for i in 0..n {
@@ -569,19 +630,15 @@ pub(crate) fn affine(x: &Tensor, (scale, shift): &(Vec<f32>, Vec<f32>)) -> Tenso
     out
 }
 
-fn folded(norm: &Norm) -> (Vec<f32>, Vec<f32>) {
-    norm.folded_affine()
-}
-
-pub(crate) fn split_heads(x: &Tensor, batch: usize, s: usize, h: usize, dh: usize) -> Tensor {
+fn split_heads(x: &Tensor, batch: usize, s: usize, h: usize, dh: usize) -> Tensor {
     x.reshape(&[batch, s, h, dh]).permute(&[0, 2, 1, 3]).reshape(&[batch * h, s, dh])
 }
 
-pub(crate) fn merge_heads(x: &Tensor, batch: usize, s: usize, h: usize, dh: usize) -> Tensor {
+fn merge_heads(x: &Tensor, batch: usize, s: usize, h: usize, dh: usize) -> Tensor {
     x.reshape(&[batch, h, s, dh]).permute(&[0, 2, 1, 3]).reshape(&[batch * s, h * dh])
 }
 
-pub(crate) fn assemble_sequence(
+fn assemble_sequence(
     tokens: &Tensor,
     cls: &Tensor,
     pos: &Tensor,
@@ -601,79 +658,55 @@ pub(crate) fn assemble_sequence(
     Tensor::from_vec(out, &[batch * s, d])
 }
 
-/// Calibration probe: float forward capturing score/GELU-input magnitudes
-/// and a sample of attention-score rows for scale selection.
-struct Probe {
-    /// 98th percentile of |score| — robust to outliers, which merely clamp
-    /// (softmax saturates for them anyway).
-    score_scale: f64,
-    gelu_absmax: Vec<f64>,
+/// Calibration probe: [`FloatUnits`] that also record every |score|, up to
+/// 64 sampled score rows, and each layer's fc1 |max|.
+struct Probe<'a> {
+    float: FloatUnits<'a>,
+    score_samples: Vec<f64>,
     score_rows: Vec<Vec<f64>>,
+    gelu_absmax: Vec<f64>,
 }
 
-impl Probe {
-    fn collect(model: &VitModel, patches: &Tensor, batch: usize) -> Probe {
-        // Mirror the engine's own dataflow in float (exact softmax, float
-        // GELU) and record magnitudes.
-        let cfg = &model.config;
-        let plan = model.plan();
-        let (s, _d, h, dh) = (cfg.seq_len(), cfg.dim, cfg.heads, cfg.head_dim());
-        let wq = |lin: &ascend_vit::model::Linear| -> Tensor {
-            fake_quant(&lin.w, lin.w_site.step_value(), plan.weights)
+impl<'a> Probe<'a> {
+    /// Runs the calibration batch through the frozen network, recording.
+    fn collect(net: &'a FrozenNet, patches: &Tensor, batch: usize) -> Result<Self, ScError> {
+        let mut probe = Probe {
+            float: FloatUnits(net),
+            score_samples: Vec::new(),
+            score_rows: Vec::new(),
+            gelu_absmax: Vec::new(),
         };
-        let tokens = linear(patches, &wq(model.patch_embed()), &model.patch_embed().b);
-        let mut x =
-            assemble_sequence(&tokens, model.cls_token(), model.pos_embedding(), batch, cfg);
-        let mut score_samples: Vec<f64> = Vec::new();
-        let mut gelu_absmax = Vec::new();
-        let mut score_rows: Vec<Vec<f64>> = Vec::new();
-        for block in model.blocks() {
-            let (n1, n2) = block.norms();
-            let (in_site_a, out_site_a) = block.attn().sites();
-            let (res1, res2) = block.res_sites();
-            let xq = fake_quant(&affine(&x, &n1.folded_affine()), in_site_a.step_value(), plan.acts);
-            let q = split_heads(&linear(&xq, &wq(block.attn().q()), &block.attn().q().b), batch, s, h, dh);
-            let k = split_heads(&linear(&xq, &wq(block.attn().k()), &block.attn().k().b), batch, s, h, dh);
-            let v = split_heads(&linear(&xq, &wq(block.attn().v()), &block.attn().v().b), batch, s, h, dh);
-            let scores =
-                q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
-            score_samples.extend(scores.data().iter().map(|v| v.abs() as f64));
-            if score_rows.len() < 64 {
-                let rows = scores.numel() / s;
-                for r in (0..rows).step_by((rows / 8).max(1)) {
-                    score_rows.push(
-                        scores.data()[r * s..(r + 1) * s].iter().map(|v| *v as f64).collect(),
-                    );
-                }
-            }
-            let probs = scores.softmax_last();
-            let ctx = merge_heads(&probs.batched_matmul(&v), batch, s, h, dh);
-            let ctxq = fake_quant(&ctx, out_site_a.step_value(), plan.acts);
-            let attn_out = linear(&ctxq, &wq(block.attn().proj()), &block.attn().proj().b);
-            x = fake_quant(&x.add(&attn_out), res1.step_value(), plan.residual);
+        net.encode(patches, batch, &mut probe, &mut NoopObserver)?;
+        probe.score_samples.sort_by(f64::total_cmp);
+        Ok(probe)
+    }
 
-            let (mlp_in, mlp_mid) = block.mlp().sites();
-            let hq = fake_quant(&affine(&x, &n2.folded_affine()), mlp_in.step_value(), plan.acts);
-            let pre = linear(&hq, &wq(block.mlp().fc1()), &block.mlp().fc1().b);
-            let mut mx = 0.0f64;
-            for v in pre.data() {
-                mx = mx.max(v.abs() as f64);
+    /// 98th percentile of |score| — robust to outliers, which merely clamp
+    /// (softmax saturates for them anyway).
+    fn score_scale(&self) -> f64 {
+        let idx = ((self.score_samples.len() as f64) * 0.98) as usize;
+        let idx = idx.min(self.score_samples.len().saturating_sub(1));
+        self.score_samples.get(idx).copied().unwrap_or(1.0)
+    }
+}
+
+impl Nonlinearity for Probe<'_> {
+    fn softmax(&mut self, scores: Tensor) -> Result<Tensor, ScError> {
+        let s = scores.shape()[2];
+        self.score_samples.extend(scores.data().iter().map(|v| v.abs() as f64));
+        if self.score_rows.len() < 64 {
+            let rows = scores.numel() / s;
+            for r in (0..rows).step_by((rows / 8).max(1)) {
+                self.score_rows
+                    .push(scores.data()[r * s..(r + 1) * s].iter().map(|v| *v as f64).collect());
             }
-            gelu_absmax.push(mx);
-            let act = fake_quant(
-                &pre.map(ascend_tensor::graph::gelu_f),
-                mlp_mid.step_value(),
-                plan.acts,
-            );
-            let out = linear(&act, &wq(block.mlp().fc2()), &block.mlp().fc2().b);
-            x = fake_quant(&x.add(&out), res2.step_value(), plan.residual);
         }
-        score_samples.sort_by(f64::total_cmp);
-        let idx = ((score_samples.len() as f64) * 0.98) as usize;
-        let score_scale = score_samples.get(idx.min(score_samples.len().saturating_sub(1)))
-            .copied()
-            .unwrap_or(1.0);
-        Probe { score_scale, gelu_absmax, score_rows }
+        self.float.softmax(scores)
+    }
+
+    fn gelu(&mut self, layer: usize, pre: &Tensor) -> Tensor {
+        self.gelu_absmax.push(pre.data().iter().fold(0.0f64, |mx, v| mx.max(v.abs() as f64)));
+        self.float.gelu(layer, pre)
     }
 }
 

@@ -12,14 +12,18 @@
 //!   trait every consumer codes against, with the SC-exact engine, the
 //!   fake-quantized float reference ([`backend::RefEngine`]), and the
 //!   composable fault-injection decorator
-//!   ([`backend::FaultInjectingBackend`]) as its implementations.
+//!   ([`backend::FaultInjectingBackend`]) as its implementations. The two
+//!   engines hold the same frozen network and run the same encoder
+//!   function; only the softmax and GELU units differ.
 //! * [`session`] — the **[`Session`] facade**: one builder for the whole
 //!   load → infer → serve flow, with the backend chosen at runtime
 //!   ([`BackendKind`]).
 //! * [`engine`] — the **end-to-end SC inference engine**: runs the trained
 //!   low-precision ViT with thermometer-coded arithmetic — gate-assisted SI
 //!   GELU blocks, the iterative approximate softmax block, and BN affines
-//!   folded into scale factors.
+//!   folded into scale factors. It holds the one copy of the encoder
+//!   dataflow, which the SC engine, the float reference and calibration
+//!   all run.
 //! * [`accelerator`] — the **accelerator area model** (Table VI): the
 //!   compute arrays plus `k` parallel softmax blocks, costed with
 //!   [`sc_hw`]'s analytic synthesis model.

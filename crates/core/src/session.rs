@@ -182,9 +182,9 @@ impl SessionBuilder {
     }
 
     /// Wraps the chosen backend in an [`InstrumentedBackend`] folding
-    /// per-stage timings into `stats` — the same `Arc` the caller keeps,
-    /// so `/metrics` renders and `ascend-cli profile` tables read live
-    /// numbers. Applied *outside* any fault decorator, so under `.fault`
+    /// per-stage timings into `stats`. The session does not hand the stats
+    /// back: the caller keeps its own clone of the `Arc`, which `/metrics`
+    /// renders and `ascend-cli profile` tables read live. Applied *outside* any fault decorator, so under `.fault`
     /// the instrumented forward measures the faulted computation.
     pub fn instrument(mut self, stats: Arc<StageStats>) -> Self {
         self.instrument = Some(stats);
@@ -240,12 +240,11 @@ impl SessionBuilder {
             None => backend,
             Some((rate, seed)) => Box::new(FaultInjectingBackend::new(backend, rate, seed)?),
         };
-        let stats = self.instrument;
-        let backend: Box<dyn InferenceBackend> = match &stats {
+        let backend: Box<dyn InferenceBackend> = match self.instrument {
             None => backend,
-            Some(s) => Box::new(InstrumentedBackend::with_stats(backend, Arc::clone(s))),
+            Some(stats) => Box::new(InstrumentedBackend::with_stats(backend, stats)),
         };
-        Ok(Session { backend: Arc::from(backend), serve: self.serve, pool: OnceLock::new(), stats })
+        Ok(Session { backend: Arc::from(backend), serve: self.serve, pool: OnceLock::new() })
     }
 
     fn compile(
@@ -312,9 +311,6 @@ pub struct Session {
     /// first serving call and reused by every later one — repeated serve
     /// rounds never re-spawn threads.
     pool: OnceLock<ServePool<dyn InferenceBackend>>,
-    /// Per-stage profiling stats, present iff the session was built with
-    /// [`SessionBuilder::instrument`].
-    stats: Option<Arc<StageStats>>,
 }
 
 impl Session {
@@ -328,19 +324,13 @@ impl Session {
     /// This is the embedding hook the HTTP front-end's tests use to drive
     /// the serving stack with controllable (gated, panicking) backends.
     pub fn from_shared_backend(backend: Arc<dyn InferenceBackend>, serve: ServeConfig) -> Session {
-        Session { backend, serve, pool: OnceLock::new(), stats: None }
+        Session { backend, serve, pool: OnceLock::new() }
     }
 
     /// The session's backend, as the trait object every consumer codes
     /// against.
     pub fn backend(&self) -> &dyn InferenceBackend {
         &*self.backend
-    }
-
-    /// The per-stage profiling stats, if the session was built with
-    /// [`SessionBuilder::instrument`].
-    pub fn stage_stats(&self) -> Option<&Arc<StageStats>> {
-        self.stats.as_ref()
     }
 
     /// The session's persistent [`ServePool`], spawned on first use and

@@ -20,6 +20,7 @@
 //! demand exact bit equality — serialization has no platform-dependent
 //! math to excuse.
 
+use ascend::backend::RefEngine;
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::InferenceBackend;
 use ascend::fixture::{train_or_load, FixtureRecipe};
@@ -36,6 +37,15 @@ const GOLDEN_LOGITS: [[f32; 4]; 3] = [
     [0.48290414, 0.709514, -0.69589436, 0.35470432],
     [-0.0073154382, -1.5145624, -2.2707572, -0.1737375],
     [1.6445307, -1.4789618, 1.8848817, -1.4585421],
+];
+
+/// Float-reference (`RefEngine`) logits of the same three test images.
+/// `tests/backend_parity.rs` checks the reference path only through argmax
+/// agreement; this pins its numerics at the same tolerance.
+const GOLDEN_REF_LOGITS: [[f32; 4]; 3] = [
+    [0.76860636, -0.36882442, -1.4104875, 1.2132785],
+    [-0.5368555, 0.32000265, -0.8057967, -0.20632112],
+    [0.28490978, -0.5272279, 2.9056747, -1.3442564],
 ];
 
 const LOGIT_TOLERANCE: f32 = 5e-3;
@@ -100,6 +110,27 @@ fn fixed_seed_pipeline_matches_golden_snapshot() {
             assert!(
                 (got - want).abs() <= LOGIT_TOLERANCE,
                 "logit [{r}][{c}] drifted: got {got}, golden {want}"
+            );
+        }
+    }
+}
+
+#[test]
+fn fixed_seed_reference_logits_match_golden_snapshot() {
+    let (model, _, test) = golden_model();
+    let engine = RefEngine::compile(&model).expect("reference backend compiles");
+    let patches = test.patches(&[0, 1, 2], 4);
+    let logits = engine.forward(&patches, 3).expect("reference forward");
+
+    for r in 0..3 {
+        eprintln!("golden ref logits[{r}]: {:?}", &logits.data()[r * 4..(r + 1) * 4]);
+    }
+    for (r, want_row) in GOLDEN_REF_LOGITS.iter().enumerate() {
+        for (c, want) in want_row.iter().enumerate() {
+            let got = logits.data()[r * 4 + c];
+            assert!(
+                (got - want).abs() <= LOGIT_TOLERANCE,
+                "reference logit [{r}][{c}] drifted: got {got}, golden {want}"
             );
         }
     }
